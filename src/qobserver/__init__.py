@@ -9,9 +9,7 @@ observer outputs converges to the (constant) plant outputs.
 """
 
 from .analysis import (
-    ControllabilitySpan,
     DecomposedPlant,
-    controllability_span,
     decompose_plant,
     plant_from_transformed_output,
     transformed_condition_check,
@@ -56,9 +54,7 @@ __all__ = [
     "dynamics_from_hamiltonian",
     "check_plant_conditions",
     "numerical_rank",
-    "ControllabilitySpan",
     "DecomposedPlant",
-    "controllability_span",
     "decompose_plant",
     "transformed_condition_check",
     "plant_from_transformed_output",

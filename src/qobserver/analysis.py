@@ -3,58 +3,30 @@
 The pair (Theta, R) of a plant determines which linear combinations of the
 system variables stay constant under the free dynamics: those spanned by
 the orthogonal complement of ``range([R, Theta R])``.  This module computes
-that span, an orthogonal change of basis that isolates it, and the block
-form of the plant matrices in the new coordinates.
+an orthogonal change of basis that isolates that span, and the block form
+of the plant matrices in the new coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     QuantumLinearSystem,
-    SYMMETRY_TOL,
     _as_matrix,
+    _rank_from_singular_values,
     make_commutation_matrix,
     numerical_rank,
 )
 
 __all__ = [
-    "ControllabilitySpan",
     "DecomposedPlant",
-    "controllability_span",
     "decompose_plant",
     "transformed_condition_check",
     "plant_from_transformed_output",
 ]
-
-
-@dataclass(frozen=True)
-class ControllabilitySpan:
-    """The matrix [R, Theta R] and its numerical rank.
-
-    Its column space equals that of the full controllability matrix of
-    (Theta, R): multiplying by Theta twice only flips signs.
-    """
-
-    cr: np.ndarray
-    rank: int
-
-
-def controllability_span(theta_p: np.ndarray, r_p: np.ndarray) -> ControllabilitySpan:
-    """Horizontal concatenation [R_p, Theta_p R_p] with its numerical rank."""
-    theta_p = _as_matrix(theta_p, "theta_p")
-    r_p = _as_matrix(r_p, "r_p")
-    if theta_p.shape[0] != theta_p.shape[1]:
-        raise ValueError(f"theta_p must be square, got {theta_p.shape}")
-    if r_p.shape != theta_p.shape:
-        raise ValueError(f"dimension mismatch: theta_p {theta_p.shape}, r_p {r_p.shape}")
-    if np.abs(r_p - r_p.T).max() > SYMMETRY_TOL:
-        raise ValueError("r_p must be symmetric to within 1e-12")
-    cr = np.hstack([r_p, theta_p @ r_p])
-    return ControllabilitySpan(cr=cr, rank=numerical_rank(cr))
 
 
 @dataclass(frozen=True)
@@ -83,8 +55,8 @@ class DecomposedPlant:
     n_p1: int
     n_p2: int
     source: QuantumLinearSystem
-    controllable: bool = True
-    residuals: dict = field(default_factory=dict)
+    controllable: bool
+    residuals: dict
 
 
 def _pair_basis(theta: np.ndarray) -> np.ndarray:
@@ -112,13 +84,16 @@ def _pair_basis(theta: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _decompose_dynamics(theta: np.ndarray, r: np.ndarray):
-    """Shared worker: orthogonal P, block sizes and Theta/R blocks."""
+def _decompose_dynamics(theta: np.ndarray, r: np.ndarray) -> dict:
+    """Shared worker: the ``DecomposedPlant`` fields fixed by (Theta, R) alone.
+
+    The column space of [R, Theta R] equals that of the full controllability
+    matrix of (Theta, R): multiplying by Theta twice only flips signs.
+    """
     n = theta.shape[0]
     cr = np.hstack([r, theta @ r])
     u, s, _ = np.linalg.svd(cr)
-    tol = max(cr.shape) * (s[0] if s.size else 0.0) * 1e-12
-    n_p1 = int(np.count_nonzero(s > tol))
+    n_p1 = _rank_from_singular_values(s, cr.shape)
     n_p2 = n - n_p1
 
     p = u.copy()
@@ -147,7 +122,17 @@ def _decompose_dynamics(theta: np.ndarray, r: np.ndarray):
     r1 = (p.T @ r)[:n_p1, :]
     controllable = numerical_rank(np.hstack([r1, theta11 @ r1])) == n_p1
 
-    return p, n_p1, n_p2, theta11, theta22, r_p11, controllable, residuals
+    return dict(p=p, n_p1=n_p1, n_p2=n_p2, theta11=theta11, theta22=theta22,
+                r_p11=r_p11, controllable=controllable, residuals=residuals)
+
+
+def _decomposed(plant: QuantumLinearSystem, dynamics: dict,
+                c_p2_tilde: np.ndarray) -> DecomposedPlant:
+    """Complete the fields of ``_decompose_dynamics`` with the plant's output."""
+    c_zero_block = np.abs((plant.c @ dynamics["p"])[:, :dynamics["n_p1"]]).max(initial=0.0)
+    residuals = dict(dynamics["residuals"], c_zero_block=float(c_zero_block))
+    return DecomposedPlant(**dict(dynamics, residuals=residuals),
+                           c_p2_tilde=c_p2_tilde, source=plant)
 
 
 def decompose_plant(plant: QuantumLinearSystem) -> DecomposedPlant:
@@ -163,15 +148,8 @@ def decompose_plant(plant: QuantumLinearSystem) -> DecomposedPlant:
     violating the structural conditions decomposes fine; the violation
     shows up in ``residuals["c_zero_block"]``.
     """
-    p, n_p1, n_p2, theta11, theta22, r_p11, controllable, residuals = \
-        _decompose_dynamics(plant.theta, plant.r)
-    c_t = plant.c @ p
-    residuals["c_zero_block"] = float(np.abs(c_t[:, :n_p1]).max(initial=0.0))
-    return DecomposedPlant(
-        p=p, theta11=theta11, theta22=theta22, r_p11=r_p11,
-        c_p2_tilde=c_t[:, n_p1:], n_p1=n_p1, n_p2=n_p2,
-        source=plant, controllable=controllable, residuals=residuals,
-    )
+    dynamics = _decompose_dynamics(plant.theta, plant.r)
+    return _decomposed(plant, dynamics, (plant.c @ dynamics["p"])[:, dynamics["n_p1"]:])
 
 
 def transformed_condition_check(dec: DecomposedPlant) -> float:
@@ -181,8 +159,6 @@ def transformed_condition_check(dec: DecomposedPlant) -> float:
     tolerance exactly when the original plant satisfied ``C Theta C^T = 0``.
     """
     c2, th22 = dec.c_p2_tilde, dec.theta22
-    if c2.shape[1] == 0:
-        return 0.0
     return float(np.abs(c2 @ th22 @ c2.T).max())
 
 
@@ -202,19 +178,12 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
     theta_p = _as_matrix(theta_p, "theta_p")
     r_p = _as_matrix(r_p, "r_p")
     c_p2_tilde = np.atleast_2d(np.asarray(c_p2_tilde, dtype=float))
-    p, n_p1, n_p2, theta11, theta22, r_p11, controllable, residuals = \
-        _decompose_dynamics(theta_p, r_p)
+    dynamics = _decompose_dynamics(theta_p, r_p)
+    p, n_p1, n_p2 = dynamics["p"], dynamics["n_p1"], dynamics["n_p2"]
     if c_p2_tilde.shape[1] != n_p2:
         raise ValueError(
             f"c_p2_tilde must have n_p2 = {n_p2} columns for this dynamics pair, "
             f"got {c_p2_tilde.shape}")
     c_p = np.hstack([np.zeros((c_p2_tilde.shape[0], n_p1)), c_p2_tilde]) @ p.T
     plant = QuantumLinearSystem(theta=theta_p, r=r_p, c=c_p)
-    residuals = dict(residuals)
-    residuals["c_zero_block"] = float(np.abs((c_p @ p)[:, :n_p1]).max(initial=0.0))
-    dec = DecomposedPlant(
-        p=p, theta11=theta11, theta22=theta22, r_p11=r_p11,
-        c_p2_tilde=c_p2_tilde, n_p1=n_p1, n_p2=n_p2,
-        source=plant, controllable=controllable, residuals=residuals,
-    )
-    return plant, dec
+    return plant, _decomposed(plant, dynamics, c_p2_tilde)

@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import DecomposedPlant, transformed_condition_check
 from .config import ConfigError, PlantConfig, build_plant, load_config
 from .demo import sixmode_config
-from .model import CONDITION_TOL, ConditionReport, check_plant_conditions
+from .model import ConditionReport, check_plant_conditions
 from .simulation import propagate, time_average_error, time_grid
 from .synthesis import (
     ObserverDesign,
@@ -50,10 +50,6 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunReport":
-        return cls(**doc)
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +88,24 @@ def write_matrices_csv(path, matrices: dict):
 
 
 def read_matrices_csv(path) -> dict:
-    """Inverse of ``write_matrices_csv``."""
-    entries: dict[str, dict] = {}
+    """Inverse of ``write_matrices_csv``; each cell must appear exactly once."""
+    entries: dict[str, list] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["matrix", "row", "col", "value"]:
             raise ValueError(f"unexpected matrix CSV header: {header}")
         for name, i, j, value in reader:
-            entries.setdefault(name, {})[(int(i), int(j))] = float(value)
+            entries.setdefault(name, []).append((int(i), int(j), float(value)))
     out = {}
     for name, cells in entries.items():
-        rows = 1 + max(i for i, _ in cells)
-        cols = 1 + max(j for _, j in cells)
+        rows = 1 + max(i for i, _, _ in cells)
+        cols = 1 + max(j for _, j, _ in cells)
+        if sorted((i, j) for i, j, _ in cells) != [(i, j) for i in range(rows)
+                                                   for j in range(cols)]:
+            raise ValueError(f"matrix {name}: cells do not cover {rows}x{cols} exactly once")
         mat = np.zeros((rows, cols))
-        for (i, j), v in cells.items():
+        for i, j, v in cells:
             mat[i, j] = v
         out[name] = mat
     return out
@@ -160,36 +159,36 @@ def _write_report(report: RunReport, path) -> None:
     Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
 
-def _print_conditions(report_doc: dict, file=sys.stdout):
+def _print_conditions(report_doc: dict):
     flags = {k: report_doc[k] for k in ("tf_cond_ok", "cjc_ok", "rank_ok", "bound_ok")}
     for name, ok in flags.items():
-        print(f"  {name:<12} {'pass' if ok else 'FAIL'}", file=file)
+        print(f"  {name:<12} {'pass' if ok else 'FAIL'}")
     print(f"  rank of dynamics span: {report_doc['rank_cr']}, "
-          f"constant coordinates: {report_doc['n_p2']}", file=file)
+          f"constant coordinates: {report_doc['n_p2']}")
     if not report_doc["all_ok"]:
-        print(f"  residuals: {report_doc['residuals']}", file=file)
+        print(f"  residuals: {report_doc['residuals']}")
 
 
 # ---------------------------------------------------------------------------
 # Pipeline stages
 # ---------------------------------------------------------------------------
 
-def _synthesize(cfg: PlantConfig, dec):
-    tol = cfg.tol if cfg.tol is not None else CONDITION_TOL
+def _design(cfg: PlantConfig):
+    """``(plant, dec, obs)``; synthesis judges the conditions into ``obs.conditions``."""
+    plant, dec = build_plant(cfg)
     obs = synthesize_observer(dec, omega=cfg.omega, r_o=cfg.r_o,
-                              c_o=cfg.c_o, beta=cfg.beta, condition_tol=tol)
+                              c_o=cfg.c_o, beta=cfg.beta, condition_tol=cfg.tol)
     if cfg.zero_coupling:
         obs = dataclasses.replace(obs, r_c=np.zeros_like(obs.r_c),
                                   r_c_tilde=np.zeros_like(obs.r_c_tilde))
-    return obs
+    return plant, dec, obs
 
 
 def cmd_analyze(config_path, report_path=None,
                 overrides: dict | None = None) -> RunReport:
     cfg = _apply_overrides(load_config(config_path), overrides)
     plant, dec = build_plant(cfg)
-    tol = cfg.tol if cfg.tol is not None else CONDITION_TOL
-    conditions = check_plant_conditions(plant, tol=tol)
+    conditions = check_plant_conditions(plant, tol=cfg.tol)
     report = RunReport(
         conditions=_conditions_dict(conditions),
         decomposition=_decomposition_dict(dec),
@@ -205,20 +204,17 @@ def cmd_analyze(config_path, report_path=None,
 def cmd_synthesize(config_path, out_path, report_path=None,
                    overrides: dict | None = None) -> RunReport:
     cfg = _apply_overrides(load_config(config_path), overrides)
-    plant, dec = build_plant(cfg)
-    tol = cfg.tol if cfg.tol is not None else CONDITION_TOL
-    conditions = check_plant_conditions(plant, tol=tol)
-    obs = _synthesize(cfg, dec)
+    _, dec, obs = _design(cfg)
     write_matrices_csv(out_path, {
         "r_o": obs.r_o, "r_c": obs.r_c, "r_c_tilde": obs.r_c_tilde,
         "c_o": obs.c_o, "beta": obs.beta, "theta_o": obs.theta_o,
     })
     report = RunReport(
-        conditions=_conditions_dict(conditions),
+        conditions=_conditions_dict(obs.conditions),
         decomposition=_decomposition_dict(dec),
         observer=_observer_dict(obs),
         csv_files=[str(out_path)],
-        passed=conditions.all_ok,
+        passed=True,
     )
     print(f"synthesize {config_path}: observer order {obs.n_o}, "
           f"matrices written to {out_path}")
@@ -236,10 +232,7 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
     if cfg.t_end < 10:
         raise ConfigError(
             f"t_end = {cfg.t_end} too short: convergence evaluation needs t_end >= 10")
-    plant, dec = build_plant(cfg)
-    tol = cfg.tol if cfg.tol is not None else CONDITION_TOL
-    conditions = check_plant_conditions(plant, tol=tol)
-    obs = _synthesize(cfg, dec)
+    plant, dec, obs = _design(cfg)
     aug = assemble_augmented(plant, obs)
     record = propagate(aug, time_grid(cfg.t_end, cfg.dt))
     convergence = time_average_error(record, aug)
@@ -251,17 +244,16 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
                                  ("zo.csv", record.zo_coeffs, "o"),
                                  ("zo_avg.csv", record.zo_avg, "o_avg")):
         path = out_dir / name
-        times = record.times if len(coeffs) == len(record.times) else record.times[:0]
-        write_trajectory_csv(path, times, coeffs, stream)
+        write_trajectory_csv(path, record.times, coeffs, stream)
         files.append(str(path))
 
     report = RunReport(
-        conditions=_conditions_dict(conditions),
+        conditions=_conditions_dict(obs.conditions),
         decomposition=_decomposition_dict(dec),
         observer=_observer_dict(obs),
         convergence=dataclasses.asdict(convergence),
         csv_files=files,
-        passed=conditions.all_ok and convergence.passed,
+        passed=convergence.passed,
     )
     _write_report(report, out_dir / "report.json")
     report.csv_files.append(str(out_dir / "report.json"))
@@ -368,15 +360,12 @@ def main(argv=None) -> int:
                 args, ("t_end", "dt", "omega", "tol", "zero_coupling")))
         else:
             report = cmd_demo(args.out_dir)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PlantConditionError as exc:
         print(f"synthesis refused: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0 if report.passed else 1
 
 

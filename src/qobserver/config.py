@@ -11,13 +11,13 @@ basis when the plant is built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import decompose_plant, plant_from_transformed_output
-from .model import QuantumLinearSystem, make_commutation_matrix
+from .model import CONDITION_TOL, QuantumLinearSystem, make_commutation_matrix
 
 __all__ = ["ConfigError", "PlantConfig", "load_config", "save_config", "build_plant"]
 
@@ -42,8 +42,7 @@ class PlantConfig:
     t_end: float = 100.0
     dt: float = 0.01
     zero_coupling: bool = False
-    tol: float | None = None
-    source_path: str | None = field(default=None, compare=False)
+    tol: float = CONDITION_TOL
 
     def __post_init__(self):
         if self.n_p < 2 or self.n_p % 2 != 0:
@@ -73,7 +72,7 @@ class PlantConfig:
         if not (self.t_end > 0 and self.dt > 0 and self.dt <= self.t_end):
             raise ConfigError(
                 f"simulation horizon invalid: t_end = {self.t_end}, dt = {self.dt}")
-        if self.tol is not None and not self.tol > 0:
+        if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
 
 
@@ -111,12 +110,12 @@ def config_to_dict(cfg: PlantConfig) -> dict:
     doc["simulation"] = {"t_end": cfg.t_end, "dt": cfg.dt}
     if cfg.zero_coupling:
         doc["simulation"]["zero_coupling"] = True
-    if cfg.tol is not None:
+    if cfg.tol != CONDITION_TOL:
         doc["tol"] = cfg.tol
     return doc
 
 
-def config_from_dict(doc: dict, source_path: str | None = None) -> PlantConfig:
+def config_from_dict(doc: dict) -> PlantConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
     version = doc.get("format_version")
@@ -148,8 +147,7 @@ def config_from_dict(doc: dict, source_path: str | None = None) -> PlantConfig:
             t_end=float(simulation.get("t_end", 100.0)),
             dt=float(simulation.get("dt", 0.01)),
             zero_coupling=bool(simulation.get("zero_coupling", False)),
-            tol=None if doc.get("tol") is None else float(doc["tol"]),
-            source_path=source_path,
+            tol=CONDITION_TOL if doc.get("tol") is None else float(doc["tol"]),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -167,7 +165,7 @@ def load_config(path) -> PlantConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return config_from_dict(doc, source_path=str(path))
+    return config_from_dict(doc)
 
 
 def save_config(cfg: PlantConfig, path) -> None:

@@ -66,9 +66,12 @@ def numerical_rank(a: np.ndarray) -> int:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    tol = max(a.shape) * s[0] * RANK_TOL_SCALE
-    return int(np.count_nonzero(s > tol))
+    return _rank_from_singular_values(np.linalg.svd(a, compute_uv=False), a.shape)
+
+
+def _rank_from_singular_values(s: np.ndarray, shape: tuple) -> int:
+    """Rank from the descending singular values `s` of a `shape` matrix."""
+    return int(np.count_nonzero(s > max(shape) * (s[0] if s.size else 0.0) * RANK_TOL_SCALE))
 
 
 def _as_matrix(a, name: str) -> np.ndarray:

@@ -19,6 +19,8 @@ import numpy as np
 
 from .analysis import DecomposedPlant
 from .model import (
+    CONDITION_TOL,
+    ConditionReport,
     QuantumLinearSystem,
     _as_matrix,
     check_plant_conditions,
@@ -65,6 +67,8 @@ class ObserverDesign:
         Canonical commutation matrix of the observer.
     n_o : int
         Observer order: m for even m, m + 1 for odd m.
+    conditions : ConditionReport
+        The plant's structural conditions as judged for this design.
     """
 
     r_o: np.ndarray
@@ -74,6 +78,7 @@ class ObserverDesign:
     r_c: np.ndarray
     theta_o: np.ndarray
     n_o: int
+    conditions: ConditionReport
 
     @property
     def m(self) -> int:
@@ -108,7 +113,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
                         r_o: np.ndarray | None = None,
                         c_o: np.ndarray | None = None,
                         beta: np.ndarray | None = None,
-                        condition_tol: float | None = None) -> ObserverDesign:
+                        condition_tol: float = CONDITION_TOL) -> ObserverDesign:
     """Construct a reduced-order observer for a decomposed plant.
 
     Defaults produce ``R_o = omega * I``, ``C_o = [I, 0]`` and
@@ -116,6 +121,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     equation exactly for any ``omega > 0``.  Any of the three matrices may
     be supplied instead; they are validated (``R_o`` symmetric positive
     definite, ``beta`` full rank, consistency residual within 1e-10).
+    The plant conditions judged against ``condition_tol`` are kept in ``conditions``.
 
     Raises
     ------
@@ -123,10 +129,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
         If the source plant fails any structural condition, has no constant
         coordinates to estimate, or the supplied matrices are inconsistent.
     """
-    if condition_tol is None:
-        report = check_plant_conditions(dec.source)
-    else:
-        report = check_plant_conditions(dec.source, tol=condition_tol)
+    report = check_plant_conditions(dec.source, tol=condition_tol)
     if not report.all_ok:
         failing = [name for name, ok in [
             ("tf_cond", report.tf_cond_ok), ("cjc", report.cjc_ok),
@@ -181,6 +184,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     return ObserverDesign(
         r_o=r_o, beta=beta, c_o=c_o, r_c_tilde=r_c_tilde, r_c=r_c,
         theta_o=np.asarray(make_commutation_matrix(n_o // 2)), n_o=n_o,
+        conditions=report,
     )
 
 

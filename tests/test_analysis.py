@@ -1,4 +1,4 @@
-"""Controllability span and block decomposition."""
+"""Rank of the dynamics span [R, Theta R] and block decomposition."""
 
 import dataclasses
 
@@ -7,7 +7,7 @@ import pytest
 
 from qobserver import (
     QuantumLinearSystem,
-    controllability_span,
+    check_plant_conditions,
     decompose_plant,
     make_commutation_matrix,
     plant_from_transformed_output,
@@ -22,30 +22,49 @@ def sorted_imag(mat):
     return np.sort(np.linalg.eigvals(mat).imag)
 
 
+def span_plant(theta, r):
+    """A plant with dynamics pair (theta, r); its output plays no part in rank [R, Theta R]."""
+    return QuantumLinearSystem(theta, r, np.eye(1, theta.shape[0]))
+
+
+def span_ranks(plant):
+    """rank [R, Theta R] as the condition check and the decomposition each see it."""
+    return check_plant_conditions(plant).rank_cr, decompose_plant(plant).n_p1
+
+
+def assert_in_dynamical_block(plant, cr):
+    """The columns of `cr` lie in the span of the decomposition's first n_p1 basis vectors."""
+    dec = decompose_plant(plant)
+    p1 = dec.p[:, :dec.n_p1]
+    assert np.abs(cr - p1 @ (p1.T @ cr)).max() <= 1e-12
+
+
 class TestControllabilitySpan:
     def test_sixmode_matches_printed_sign_pattern(self):
         # all-ones R: left half all ones; right half alternates +/- by row
-        theta = make_commutation_matrix(3)
-        span = controllability_span(theta, np.ones((6, 6)))
+        plant = span_plant(make_commutation_matrix(3), np.ones((6, 6)))
         expected = np.ones((6, 12))
         expected[1::2, 6:] = -1.0
-        assert np.array_equal(span.cr, expected)
-        assert span.rank == 2
+        assert span_ranks(plant) == (2, 2)
+        assert_in_dynamical_block(plant, expected)
 
     def test_zero_hamiltonian(self):
-        span = controllability_span(make_commutation_matrix(2), np.zeros((4, 4)))
-        assert np.array_equal(span.cr, np.zeros((4, 8)))
-        assert span.rank == 0
+        plant = span_plant(make_commutation_matrix(2), np.zeros((4, 4)))
+        assert span_ranks(plant) == (0, 0)
+        assert_in_dynamical_block(plant, np.zeros((4, 8)))
 
     def test_identity_hamiltonian(self):
         theta = make_commutation_matrix(2)
-        span = controllability_span(theta, np.eye(4))
-        assert np.array_equal(span.cr, np.hstack([np.eye(4), theta]))
-        assert span.rank == 4
+        plant = span_plant(theta, np.eye(4))
+        assert span_ranks(plant) == (4, 4)
+        assert_in_dynamical_block(plant, np.hstack([np.eye(4), theta]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            controllability_span(make_commutation_matrix(2), np.eye(6))
+            span_plant(make_commutation_matrix(2), np.eye(6))
+        with pytest.raises(ValueError):
+            plant_from_transformed_output(make_commutation_matrix(2), np.eye(6),
+                                          np.eye(1, 4))
 
     def test_span_equals_full_controllability_matrix(self):
         # rank [R, Theta R] = rank [R, Theta R, Theta^2 R, ...] since
@@ -57,9 +76,9 @@ class TestControllabilitySpan:
             theta = make_commutation_matrix(n_modes)
             g = rng.normal(size=(n_p, int(rng.integers(1, n_p + 1))))
             r = g @ g.T
-            span = controllability_span(theta, r)
             full = np.hstack([np.linalg.matrix_power(theta, k) @ r for k in range(n_p)])
-            assert span.rank == np.linalg.matrix_rank(full)
+            rank = np.linalg.matrix_rank(full)
+            assert span_ranks(span_plant(theta, r)) == (rank, rank)
 
 
 class TestDecomposePlant:

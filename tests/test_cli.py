@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qobserver import CONDITION_TOL, check_plant_conditions
 from qobserver.cli import (
     RunReport,
     cmd_demo,
@@ -37,6 +38,35 @@ def fast_sixmode_path(tmp_path):
     path = tmp_path / "sixmode_fast.json"
     save_config(sixmode_config(t_end=50.0), path)
     return path
+
+
+@pytest.fixture
+def perturbed_sixmode_path(tmp_path):
+    """Six-mode plant with C_p + 1e-7 [p1; p1]^T, p1 the first dynamical basis vector.
+
+    The outputs leak into the dynamics: tf_cond is about 1.7e-7, above the
+    default tolerance and below 1e-5.
+    """
+    plant, dec = build_plant(sixmode_config())
+    p1 = dec.p[:, 0]
+    cfg = PlantConfig(n_p=6, m=2, r_p=plant.r, c_p=plant.c + 1e-7 * np.vstack([p1, p1]))
+    path = tmp_path / "perturbed.json"
+    save_config(cfg, path)
+    return path
+
+
+@pytest.fixture
+def condition_checks(monkeypatch):
+    """Count calls of check_plant_conditions made through the cli and synthesis."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_plant_conditions(*args, **kwargs)
+
+    monkeypatch.setattr("qobserver.synthesis.check_plant_conditions", counted)
+    monkeypatch.setattr("qobserver.cli.check_plant_conditions", counted)
+    return calls
 
 
 class TestConfig:
@@ -119,6 +149,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
 
+    def test_tol_absent_or_null_means_default(self):
+        doc = config_to_dict(sixmode_config())
+        assert "tol" not in doc
+        assert config_from_dict(doc).tol == CONDITION_TOL
+        assert config_from_dict(dict(doc, tol=None)).tol == CONDITION_TOL
+        cfg = config_from_dict(dict(doc, tol=1e-6))
+        assert cfg.tol == 1e-6 and config_to_dict(cfg)["tol"] == 1e-6
+
 
 class TestCsvInterchange:
     def test_matrices_round_trip_exact(self, tmp_path):
@@ -130,6 +168,17 @@ class TestCsvInterchange:
         assert set(loaded) == {"a", "b"}
         assert np.array_equal(loaded["a"], mats["a"])
         assert np.array_equal(loaded["b"], mats["b"])
+
+    @pytest.mark.parametrize("rows", [
+        ["r_o,0,0,1", "r_o,1,1,1"],                                   # missing cells
+        ["r_o,0,0,1", "r_o,0,1,0", "r_o,1,0,0", "r_o,1,1,1", "r_o,1,1,2"],  # repeated cell
+        ["r_o,0,0,1", "r_o,0,1,0", "r_o,1,0,0", "r_o,-1,1,1"],        # negative index
+    ])
+    def test_matrices_reject_incomplete_or_repeated_cells(self, tmp_path, rows):
+        path = tmp_path / "mats.csv"
+        path.write_text("\n".join(["matrix,row,col,value", *rows]) + "\n")
+        with pytest.raises(ValueError, match="r_o"):
+            read_matrices_csv(path)
 
 
 class TestCliCommands:
@@ -195,6 +244,32 @@ class TestCliCommands:
         assert code == 0
         assert json.loads(report_path.read_text())["observer"]["n_o"] == 2
 
+    def test_tol_reaches_refusal(self, perturbed_sixmode_path, tmp_path):
+        out = str(tmp_path / "obs.csv")
+        assert main(["synthesize", str(perturbed_sixmode_path), out]) == 1
+        assert main(["synthesize", str(perturbed_sixmode_path), out, "--tol", "1e-5"]) == 0
+
+    def test_synthesize_reports_the_conditions_analyze_reports(
+            self, perturbed_sixmode_path, tmp_path):
+        syn, ana = tmp_path / "syn.json", tmp_path / "ana.json"
+        assert main(["synthesize", str(perturbed_sixmode_path), str(tmp_path / "obs.csv"),
+                     "--tol", "1e-5", "--report", str(syn)]) == 0
+        assert main(["analyze", str(perturbed_sixmode_path), "--tol", "1e-5",
+                     "--report", str(ana)]) == 0
+        conditions = json.loads(syn.read_text())["conditions"]
+        assert conditions["residuals"]["tf_cond"] > CONDITION_TOL
+        assert conditions == json.loads(ana.read_text())["conditions"]
+
+    def test_synthesize_checks_conditions_once(self, sixmode_path, tmp_path,
+                                               condition_checks):
+        assert main(["synthesize", str(sixmode_path), str(tmp_path / "obs.csv")]) == 0
+        assert len(condition_checks) == 1
+
+    def test_simulate_checks_conditions_once(self, fast_sixmode_path, tmp_path,
+                                             condition_checks):
+        assert main(["simulate", str(fast_sixmode_path), str(tmp_path / "run")]) == 0
+        assert len(condition_checks) == 1
+
     def test_synthesize_refuses_bad_plant(self, tmp_path):
         bad = PlantConfig(n_p=6, m=2, r_p=np.ones((6, 6)), c_p=np.eye(2, 6))
         path = tmp_path / "bad.json"
@@ -223,9 +298,8 @@ class TestCliCommands:
         main(["simulate", str(fast_sixmode_path), str(out_dir)])
         cfg = load_config(fast_sixmode_path)
         from qobserver import assemble_augmented, propagate, time_grid
-        from qobserver.cli import _synthesize
-        plant, dec = build_plant(cfg)
-        obs = _synthesize(cfg, dec)
+        from qobserver.cli import _design
+        plant, _, obs = _design(cfg)
         aug = assemble_augmented(plant, obs)
         record = propagate(aug, time_grid(cfg.t_end, cfg.dt))
         _, zo, _ = read_trajectory_csv(out_dir / "zo.csv")
@@ -276,6 +350,6 @@ class TestRunReport:
         from qobserver.cli import cmd_analyze
         report = cmd_analyze(sixmode_path, tmp_path / "r.json")
         doc = json.loads((tmp_path / "r.json").read_text())
-        rebuilt = RunReport.from_dict(json.loads(json.dumps(doc)))
-        assert rebuilt == RunReport.from_dict(doc)
+        rebuilt = RunReport(**json.loads(json.dumps(doc)))
+        assert rebuilt == RunReport(**doc)
         assert rebuilt.to_dict() == report.to_dict()
