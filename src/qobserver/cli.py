@@ -229,12 +229,13 @@ def cmd_simulate(config_path, out_dir, overrides: dict | None = None) -> RunRepo
 
 
 def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
-    if cfg.t_end < 10:
-        raise ConfigError(
-            f"t_end = {cfg.t_end} too short: convergence evaluation needs t_end >= 10")
+    times = time_grid(cfg.t_end, cfg.dt)
+    if times[-1] < 10:
+        raise ConfigError(f"grid ends at t = {times[-1]:g} (t_end = {cfg.t_end}, "
+                          f"dt = {cfg.dt}): convergence evaluation needs t_end >= 10")
     plant, dec, obs = _design(cfg)
     aug = assemble_augmented(plant, obs)
-    record = propagate(aug, time_grid(cfg.t_end, cfg.dt))
+    record = propagate(aug, times)
     convergence = time_average_error(record, aug)
 
     out_dir = Path(out_dir)

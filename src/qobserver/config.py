@@ -55,7 +55,7 @@ class PlantConfig:
         if self.c_p is not None:
             self.c_p = _shape("c_p", self.c_p, self.m * self.n_p, (self.m, self.n_p))
         if self.c_p2_tilde is not None:
-            c2 = np.atleast_2d(np.asarray(self.c_p2_tilde, dtype=float))
+            c2 = _finite("c_p2_tilde", self.c_p2_tilde)
             if c2.size % self.m != 0:
                 raise ConfigError(
                     f"c_p2_tilde has {c2.size} entries, not a multiple of m = {self.m}")
@@ -67,17 +67,24 @@ class PlantConfig:
             self.c_o = _shape("observer.c_o", self.c_o, self.m * n_o, (self.m, n_o))
         if self.beta is not None:
             self.beta = _shape("observer.beta", self.beta, n_o * self.m, (n_o, self.m))
-        if not self.omega > 0:
-            raise ConfigError(f"observer.omega must be positive, got {self.omega}")
-        if not (self.t_end > 0 and self.dt > 0 and self.dt <= self.t_end):
+        if not 0 < self.omega < np.inf:
+            raise ConfigError(f"observer.omega must be positive and finite, got {self.omega}")
+        if not 0 < self.dt <= self.t_end < np.inf:
             raise ConfigError(
                 f"simulation horizon invalid: t_end = {self.t_end}, dt = {self.dt}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+
+
+def _finite(name: str, values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float).ravel()
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"field {name}: entries must be finite")
+    return arr
 
 
 def _shape(name: str, values, expected_len: int, shape: tuple) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = _finite(name, values)
     if arr.size != expected_len:
         raise ConfigError(f"field {name}: expected {expected_len} entries "
                           f"(row-major {shape[0]}x{shape[1]}), got {arr.size}")

@@ -26,6 +26,13 @@ from qobserver.config import (
 from qobserver.demo import sixmode_config
 
 
+def assert_input_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def sixmode_path(tmp_path):
     path = tmp_path / "sixmode.json"
@@ -309,6 +316,34 @@ class TestCliCommands:
         code = main(["simulate", str(sixmode_path), str(tmp_path / "x"),
                      "--t-end", "5"])
         assert code == 2
+
+    def test_simulate_rejects_grid_ending_short(self, tmp_path, sixmode_path, capsys):
+        # dt = 3 rounds t_end = 10 to a grid that ends at 9
+        code = main(["simulate", str(sixmode_path), str(tmp_path / "x"),
+                     "--t-end", "10", "--dt", "3"])
+        assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--t-end", "nan"),
+                                            ("--dt", "nan"), ("--omega", "inf"),
+                                            ("--tol", "inf")])
+    def test_simulate_rejects_nonfinite_override(self, tmp_path, sixmode_path, capsys,
+                                                 flag, value):
+        code = main(["simulate", str(sixmode_path), str(tmp_path / "x"), flag, value])
+        assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("simulation", "t_end", np.inf), ("simulation", "dt", np.nan),
+        ("observer", "omega", np.inf), ("observer", "r_o", [np.nan, 0, 0, 1]),
+        (None, "r_p", [np.nan] + [0] * 35), (None, "c_p2_tilde", [-np.inf] + [0] * 7),
+        (None, "tol", np.inf)])
+    def test_simulate_rejects_nonfinite_config(self, tmp_path, sixmode_path, capsys,
+                                               section, key, value):
+        doc = json.loads(sixmode_path.read_text())
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # writes Infinity and NaN
+        code = main(["simulate", str(path), str(tmp_path / "x")])
+        assert_input_error(code, capsys)
 
     def test_simulate_zero_coupling_fails_convergence(self, fast_sixmode_path, tmp_path):
         out_dir = tmp_path / "decoupled"
