@@ -11,17 +11,30 @@ basis when the plant is built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import decompose_plant, plant_from_transformed_output
 from .model import CONDITION_TOL, QuantumLinearSystem, make_commutation_matrix
+from .synthesis import _observer_order
 
 __all__ = ["ConfigError", "PlantConfig", "load_config", "save_config", "build_plant"]
 
 FORMAT_VERSION = 1
+
+# The nested JSON sections and the PlantConfig fields each one holds; every
+# other field sits at the top level of the document.
+SECTIONS = {"observer": ("omega", "r_o", "c_o", "beta"),
+            "simulation": ("t_end", "dt", "zero_coupling")}
+_SECTION_OF = {name: section for section, names in SECTIONS.items() for name in names}
+
+# Scalar annotation (a string: annotations are postponed) -> the values it
+# accepts and the type it stores.  bool is no number: JSON true is not 1.
+_SCALARS = {"int": (numbers.Integral, int), "float": (numbers.Real, float),
+            "bool": (bool, bool)}
 
 
 class ConfigError(ValueError):
@@ -30,6 +43,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class PlantConfig:
+    """A run's inputs; the defaults below are the only statement of each default."""
+
     n_p: int
     m: int
     r_p: np.ndarray
@@ -45,121 +60,100 @@ class PlantConfig:
     tol: float = CONDITION_TOL
 
     def __post_init__(self):
+        for field in fields(self):
+            if field.type not in _SCALARS:
+                continue
+            (kind, stored), value = _SCALARS[field.type], getattr(self, field.name)
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ConfigError(f"{field.name} must be of type {field.type}, got {value!r}")
+            try:
+                setattr(self, field.name, stored(value))
+            except OverflowError:
+                raise ConfigError(f"{field.name} is beyond floating-point range") from None
         if self.n_p < 2 or self.n_p % 2 != 0:
             raise ConfigError(f"n_p must be a positive even integer, got {self.n_p}")
         if self.m < 1:
             raise ConfigError(f"m must be at least 1, got {self.m}")
         if (self.c_p is None) == (self.c_p2_tilde is None):
             raise ConfigError("exactly one of c_p / c_p2_tilde must be given")
-        self.r_p = _shape("r_p", self.r_p, self.n_p * self.n_p, (self.n_p, self.n_p))
-        if self.c_p is not None:
-            self.c_p = _shape("c_p", self.c_p, self.m * self.n_p, (self.m, self.n_p))
+        self.r_p = _matrix("r_p", self.r_p, (self.n_p, self.n_p))
         if self.c_p2_tilde is not None:
-            c2 = _finite("c_p2_tilde", self.c_p2_tilde)
-            if c2.size % self.m != 0:
-                raise ConfigError(
-                    f"c_p2_tilde has {c2.size} entries, not a multiple of m = {self.m}")
+            c2 = _matrix("c_p2_tilde", self.c_p2_tilde)
+            if c2.size == 0 or c2.size % self.m != 0:
+                raise ConfigError(f"c_p2_tilde has {c2.size} entries, "
+                                  f"not a positive multiple of m = {self.m}")
             self.c_p2_tilde = c2.reshape(self.m, -1)
-        n_o = self.m if self.m % 2 == 0 else self.m + 1
-        if self.r_o is not None:
-            self.r_o = _shape("observer.r_o", self.r_o, n_o * n_o, (n_o, n_o))
-        if self.c_o is not None:
-            self.c_o = _shape("observer.c_o", self.c_o, self.m * n_o, (self.m, n_o))
-        if self.beta is not None:
-            self.beta = _shape("observer.beta", self.beta, n_o * self.m, (n_o, self.m))
-        if not 0 < self.omega < np.inf:
-            raise ConfigError(f"observer.omega must be positive and finite, got {self.omega}")
+        n_o = _observer_order(self.m)
+        for name, shape in (("c_p", (self.m, self.n_p)), ("r_o", (n_o, n_o)),
+                            ("c_o", (self.m, n_o)), ("beta", (n_o, self.m))):
+            if getattr(self, name) is not None:
+                setattr(self, name, _matrix(name, getattr(self, name), shape))
         if not 0 < self.dt <= self.t_end < np.inf:
             raise ConfigError(
                 f"simulation horizon invalid: t_end = {self.t_end}, dt = {self.dt}")
-        if not 0 < self.tol < np.inf:
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+        for name in ("omega", "tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
-def _finite(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"field {name}: entries must be finite")
-    return arr
-
-
-def _shape(name: str, values, expected_len: int, shape: tuple) -> np.ndarray:
-    arr = _finite(name, values)
-    if arr.size != expected_len:
-        raise ConfigError(f"field {name}: expected {expected_len} entries "
-                          f"(row-major {shape[0]}x{shape[1]}), got {arr.size}")
+def _matrix(name: str, values, shape: tuple | None = None) -> np.ndarray:
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise ConfigError(f"field {name}: {exc}") from None
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"field {name}: entries must be finite numbers")
+    arr = arr.astype(float, copy=False).ravel()
+    if shape is None:
+        return arr
+    if arr.size != shape[0] * shape[1]:
+        raise ConfigError(f"field {name}: expected {shape[0] * shape[1]} "
+                          f"entries (row-major {shape[0]}x{shape[1]}), got {arr.size}")
     return arr.reshape(shape)
 
 
-def _flat(a: np.ndarray | None):
-    return None if a is None else [float(v) for v in np.asarray(a).ravel()]
-
-
 def config_to_dict(cfg: PlantConfig) -> dict:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "n_p": cfg.n_p,
-        "m": cfg.m,
-        "r_p": _flat(cfg.r_p),
-    }
-    if cfg.c_p is not None:
-        doc["c_p"] = _flat(cfg.c_p)
-    else:
-        doc["c_p2_tilde"] = _flat(cfg.c_p2_tilde)
-    observer = {}
-    if cfg.omega != 1.0:
-        observer["omega"] = cfg.omega
-    for key, val in (("r_o", cfg.r_o), ("c_o", cfg.c_o), ("beta", cfg.beta)):
-        if val is not None:
-            observer[key] = _flat(val)
-    if observer:
-        doc["observer"] = observer
-    doc["simulation"] = {"t_end": cfg.t_end, "dt": cfg.dt}
-    if cfg.zero_coupling:
-        doc["simulation"]["zero_coupling"] = True
-    if cfg.tol != CONDITION_TOL:
-        doc["tol"] = cfg.tol
+    """JSON document of ``cfg``: each set matrix and each field off its default."""
+    doc = {"format_version": FORMAT_VERSION}
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, np.ndarray):
+            value = [float(v) for v in value.ravel()]
+        elif value == field.default:
+            continue
+        section = _SECTION_OF.get(field.name)
+        (doc.setdefault(section, {}) if section else doc)[field.name] = value
+    return doc
+
+
+def _json_object(where: str, doc, known) -> dict:
+    """``doc``, once it is a JSON object whose keys are all ``known``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
     return doc
 
 
 def config_from_dict(doc: dict) -> PlantConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be a JSON object")
+    """Inverse of ``config_to_dict``; an absent or null field takes its default."""
+    _json_object("configuration root", doc, {"format_version", *SECTIONS} | {
+        field.name for field in fields(PlantConfig) if field.name not in _SECTION_OF})
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ConfigError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
-    known = {"format_version", "n_p", "m", "r_p", "c_p", "c_p2_tilde",
-             "observer", "simulation", "tol"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown fields: {sorted(unknown)}")
-    for required in ("n_p", "m", "r_p"):
-        if required not in doc:
-            raise ConfigError(f"missing required field {required}")
-    observer = doc.get("observer", {})
-    simulation = doc.get("simulation", {})
-    if not isinstance(observer, dict) or not isinstance(simulation, dict):
-        raise ConfigError("observer and simulation sections must be objects")
-    try:
-        return PlantConfig(
-            n_p=int(doc["n_p"]),
-            m=int(doc["m"]),
-            r_p=doc["r_p"],
-            c_p=doc.get("c_p"),
-            c_p2_tilde=doc.get("c_p2_tilde"),
-            omega=float(observer.get("omega", 1.0)),
-            r_o=observer.get("r_o"),
-            c_o=observer.get("c_o"),
-            beta=observer.get("beta"),
-            t_end=float(simulation.get("t_end", 100.0)),
-            dt=float(simulation.get("dt", 0.01)),
-            zero_coupling=bool(simulation.get("zero_coupling", False)),
-            tol=CONDITION_TOL if doc.get("tol") is None else float(doc["tol"]),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"malformed configuration: {exc}") from exc
+    parts = {None: doc} | {
+        section: _json_object(f"section {section}", doc.get(section, {}), names)
+        for section, names in SECTIONS.items()}
+    values = {}
+    for field in fields(PlantConfig):
+        value = parts[_SECTION_OF.get(field.name)].get(field.name)
+        if value is not None:
+            values[field.name] = value
+        elif field.default is MISSING:
+            raise ConfigError(f"missing required field {field.name}")
+    return PlantConfig(**values)
 
 
 def load_config(path) -> PlantConfig:

@@ -34,7 +34,7 @@ def sixmode_plant():
     return plant_from_transformed_output(theta_p, r_p, SIXMODE_OUTPUT)
 
 
-def sixmode_config(t_end: float = 200.0, dt: float = 0.01) -> PlantConfig:
+def sixmode_config(t_end: float = 200.0) -> PlantConfig:
     """The demo plant as a loadable configuration."""
     return PlantConfig(
         n_p=6,
@@ -42,5 +42,4 @@ def sixmode_config(t_end: float = 200.0, dt: float = 0.01) -> PlantConfig:
         r_p=np.ones((6, 6)),
         c_p2_tilde=np.array(SIXMODE_OUTPUT),
         t_end=t_end,
-        dt=dt,
     )

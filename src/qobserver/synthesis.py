@@ -22,6 +22,7 @@ from .model import (
     CONDITION_TOL,
     ConditionReport,
     QuantumLinearSystem,
+    SYMMETRY_TOL,
     _as_matrix,
     check_plant_conditions,
     dynamics_from_hamiltonian,
@@ -41,6 +42,10 @@ __all__ = [
 
 # Max-norm tolerance on the observer consistency equation -C_o R_o^{-1} beta = I.
 EQ_CONSISTENCY_TOL = 1e-10
+
+
+def _observer_order(m: int) -> int:
+    return m if m % 2 == 0 else m + 1
 
 
 class PlantConditionError(ValueError):
@@ -141,7 +146,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
         raise PlantConditionError("no constant plant coordinates: nothing to estimate")
 
     m = dec.source.m
-    n_o = m if m % 2 == 0 else m + 1
+    n_o = _observer_order(m)
 
     if r_o is None:
         if not omega > 0:
@@ -151,7 +156,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
         r_o = _as_matrix(r_o, "r_o")
         if r_o.shape != (n_o, n_o):
             raise PlantConditionError(f"r_o must be {n_o}x{n_o}, got {r_o.shape}")
-        if np.abs(r_o - r_o.T).max() > 1e-12:
+        if np.abs(r_o - r_o.T).max() > SYMMETRY_TOL:
             raise PlantConditionError("r_o must be symmetric")
     if np.linalg.eigvalsh(r_o)[0] <= 0:
         raise PlantConditionError("r_o must be positive definite")

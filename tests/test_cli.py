@@ -130,6 +130,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="r_p"):
             PlantConfig(n_p=4, m=1, r_p=np.zeros(15), c_p=np.zeros(4))
 
+    @pytest.mark.parametrize("m", [2, 10**20])
+    def test_rejects_empty_output_selector(self, m):
+        with pytest.raises(ConfigError, match="c_p2_tilde"):
+            PlantConfig(n_p=4, m=m, r_p=np.zeros(16), c_p2_tilde=[])
+
     def test_rejects_degenerate_horizon(self):
         with pytest.raises(ConfigError, match="horizon"):
             PlantConfig(n_p=4, m=1, r_p=np.zeros(16), c_p=np.zeros(4), t_end=0.0)
@@ -163,6 +168,13 @@ class TestConfig:
         assert config_from_dict(dict(doc, tol=None)).tol == CONDITION_TOL
         cfg = config_from_dict(dict(doc, tol=1e-6))
         assert cfg.tol == 1e-6 and config_to_dict(cfg)["tol"] == 1e-6
+
+    def test_json_integers_load_as_floats(self):
+        doc = config_to_dict(sixmode_config())
+        as_int = config_from_dict(dict(doc, simulation={"t_end": 200, "dt": 1}, tol=1))
+        as_float = config_from_dict(dict(doc, simulation={"t_end": 200.0, "dt": 1.0}, tol=1.0))
+        assert json.dumps(config_to_dict(as_int)) == json.dumps(config_to_dict(as_float))
+        assert {type(getattr(as_int, name)) for name in ("omega", "t_end", "dt", "tol")} == {float}
 
 
 class TestCsvInterchange:
@@ -344,6 +356,32 @@ class TestCliCommands:
         path.write_text(json.dumps(doc))  # writes Infinity and NaN
         code = main(["simulate", str(path), str(tmp_path / "x")])
         assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("simulation", "zero_coupling", "false"), ("simulation", "dtt", 0.5),
+        (None, "n_p", 6.5), (None, "m", True), (None, "tol", True),
+        ("simulation", "t_end", "200"),
+        ("observer", "surprise", 1.0),
+        pytest.param("simulation", "dt", 10**400, id="simulation-dt-10**400"),
+        (None, "r_p", ["1"] * 36), (None, "c_p2_tilde", [[1.0, 1.0], [1.0]]),
+        (None, "simulation", [200.0, 0.01]), (None, "format_version", True)])
+    def test_simulate_rejects_malformed_config(self, tmp_path, sixmode_path, capsys,
+                                               section, key, value):
+        doc = json.loads(sixmode_path.read_text())
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), str(tmp_path / "x")])
+        assert_input_error(code, capsys)
+
+    def test_simulate_reports_evaluated_grid_end(self, tmp_path, sixmode_path, capsys):
+        # t_end / dt = 20.8 rounds to 21 steps of 0.5
+        code = main(["simulate", str(sixmode_path), str(tmp_path / "x"),
+                     "--t-end", "10.4", "--dt", "0.5"])
+        assert code == 0
+        assert "t_end = 10.5, dt = 0.5" in capsys.readouterr().out
+        times, _, _ = read_trajectory_csv(tmp_path / "x" / "zp.csv")
+        assert times[-1] == 10.5
 
     def test_simulate_zero_coupling_fails_convergence(self, fast_sixmode_path, tmp_path):
         out_dir = tmp_path / "decoupled"
