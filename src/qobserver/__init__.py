@@ -29,7 +29,6 @@ from .simulation import (
     TrajectoryRecord,
     averaging_error_bound,
     matrix_exponential,
-    ode_oracle,
     propagate,
     time_average_error,
     time_grid,
@@ -70,7 +69,6 @@ __all__ = [
     "time_grid",
     "propagate",
     "time_average_error",
-    "ode_oracle",
     "averaging_error_bound",
     "__version__",
 ]

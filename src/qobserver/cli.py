@@ -25,15 +25,19 @@ from .simulation import DRIFT_TOL, SLOPE_WINDOW, propagate, time_average_error, 
 from .synthesis import (
     ObserverDesign,
     PlantConditionError,
+    _observer_order,
     assemble_augmented,
     synthesize_observer,
 )
 
 __all__ = ["RunReport", "main", "cmd_analyze", "cmd_synthesize", "cmd_simulate",
            "cmd_demo", "write_matrices_csv", "read_matrices_csv",
-           "write_trajectory_csv", "read_trajectory_csv"]
+           "write_trajectory_csv"]
 
 FLOAT_FMT = "%.17g"
+# Largest trajectory record simulate builds: zp, zo and zo_avg hold
+# 3 m (n_p + n_o) doubles per grid point.
+MAX_RECORD_BYTES = 2**30
 
 
 @dataclasses.dataclass
@@ -64,14 +68,6 @@ def write_trajectory_csv(path, times: np.ndarray, coeffs: np.ndarray, stream: st
     data = np.hstack([np.asarray(times).reshape(n_t, 1), coeffs.reshape(n_t, m * n)])
     np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=",",
                header=",".join(header), comments="")
-
-
-def read_trajectory_csv(path):
-    """Inverse of ``write_trajectory_csv``; returns (times, flat_coeffs, header)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1:], header
 
 
 def write_matrices_csv(path, matrices: dict):
@@ -140,11 +136,9 @@ def _decomposition_dict(dec: DecomposedPlant) -> dict:
 
 
 def _observer_dict(obs: ObserverDesign) -> dict:
-    consistency = float(np.abs(
-        -obs.c_o @ np.linalg.solve(obs.r_o, obs.beta) - np.eye(obs.m)).max())
     return {
         "n_o": obs.n_o,
-        "consistency_residual": consistency,
+        "consistency_residual": obs.consistency_residual,
         "r_o": _listify(obs.r_o),
         "c_o": _listify(obs.c_o),
         "beta": _listify(obs.beta),
@@ -158,14 +152,13 @@ def _write_report(report: RunReport, path) -> None:
     Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
 
-def _print_conditions(report_doc: dict):
-    flags = {k: report_doc[k] for k in ("tf_cond_ok", "cjc_ok", "rank_ok", "bound_ok")}
-    for name, ok in flags.items():
+def _print_conditions(report: ConditionReport):
+    for name, ok in report.flags.items():
         print(f"  {name:<12} {'pass' if ok else 'FAIL'}")
-    print(f"  rank of dynamics span: {report_doc['rank_cr']}, "
-          f"constant coordinates: {report_doc['n_p2']}")
-    if not report_doc["all_ok"]:
-        print(f"  residuals: {report_doc['residuals']}")
+    print(f"  rank of dynamics span: {report.rank_cr}, "
+          f"constant coordinates: {report.n_p2}")
+    if not report.all_ok:
+        print(f"  residuals: {report.residuals}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +186,7 @@ def cmd_analyze(config_path, report_path=None, **overrides) -> RunReport:
         passed=conditions.all_ok,
     )
     print(f"analyze {config_path}: {'PASS' if report.passed else 'FAIL'}")
-    _print_conditions(report.conditions)
+    _print_conditions(conditions)
     if report_path:
         _write_report(report, report_path)
     return report
@@ -226,6 +219,10 @@ def cmd_simulate(config_path, out_dir, **overrides) -> RunReport:
 
 
 def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
+    points = cfg.t_end / cfg.dt + 1
+    if not 24 * points * cfg.m * (cfg.n_p + _observer_order(cfg.m)) <= MAX_RECORD_BYTES:
+        raise ConfigError(f"grid of {points:.3g} points (t_end = {cfg.t_end}, dt = {cfg.dt}): "
+                          f"its record would exceed {MAX_RECORD_BYTES / 2**30:g} GiB")
     times = time_grid(cfg.t_end, cfg.dt)
     if times[-1] < 10:
         raise ConfigError(f"grid ends at t = {times[-1]:g} (t_end = {cfg.t_end}, "

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import plant_from_transformed_output
 from .config import PlantConfig
-from .model import make_commutation_matrix
 
-__all__ = ["SIXMODE_OUTPUT", "sixmode_plant", "sixmode_config"]
+__all__ = ["SIXMODE_OUTPUT", "sixmode_config"]
 
 # Output selector in the rotated constant-block coordinates: two rows that
 # are constant within each mode pair, hence commuting for any block-J form.
@@ -25,13 +23,6 @@ SIXMODE_OUTPUT = np.array([
     [1.0, 1.0, -1.0, -1.0],
 ])
 SIXMODE_OUTPUT.setflags(write=False)
-
-
-def sixmode_plant():
-    """Build the demo plant; returns ``(plant, dec)``."""
-    theta_p = make_commutation_matrix(3)
-    r_p = np.ones((6, 6))
-    return plant_from_transformed_output(theta_p, r_p, SIXMODE_OUTPUT)
 
 
 def sixmode_config(t_end: float = 200.0) -> PlantConfig:

@@ -10,7 +10,7 @@ preserved for all time (physical realizability).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -184,8 +184,18 @@ class ConditionReport:
     residuals: dict = field(default_factory=dict)
 
     @property
+    def flags(self) -> dict[str, bool]:
+        """Each ``*_ok`` field and its value, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name.endswith("_ok")}
+
+    @property
+    def failing(self) -> list[str]:
+        """Names of the conditions that fail, such as ``["tf_cond", "cjc"]``."""
+        return [name.removesuffix("_ok") for name, ok in self.flags.items() if not ok]
+
+    @property
     def all_ok(self) -> bool:
-        return self.tf_cond_ok and self.cjc_ok and self.rank_ok and self.bound_ok
+        return not self.failing
 
 
 def check_plant_conditions(plant: QuantumLinearSystem,

@@ -5,9 +5,8 @@ coefficients with respect to the initial-condition operators are plain
 matrices: ``zp_coeffs(t) = [C_p, 0] e^{A_a t}`` and similarly for the
 observer.  This module computes those coefficient trajectories, their
 running time averages, and rate diagnostics for the time-averaged
-convergence of observer outputs to plant outputs.  A fixed-step RK4
-integrator provides an independent verification path for the matrix
-exponential propagator.
+convergence of observer outputs to plant outputs.  The fixed-step RK4
+reference that verifies the propagator lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,15 +26,13 @@ __all__ = [
     "time_grid",
     "propagate",
     "time_average_error",
-    "ode_oracle",
     "averaging_error_bound",
-    "DRIFT_TOL", "SLOPE_WINDOW", "DIVERGENCE_TOL",
+    "DRIFT_TOL", "SLOPE_WINDOW",
 ]
 
-# Convergence verdict (time averages decay like 1/T) and RK4 divergence limit.
+# Convergence verdict: time averages decay like 1/T.
 DRIFT_TOL = 1e-6
 SLOPE_WINDOW = (-1.3, -0.7)
-DIVERGENCE_TOL = 1e-3
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
@@ -104,19 +101,6 @@ class ConvergenceReport:
     passed: bool
 
 
-def _record(times: np.ndarray, rows: np.ndarray, m: int) -> TrajectoryRecord:
-    """Split the stacked output rows and add the trapezoidal running average."""
-    zo = rows[:, m:]
-    if len(times) < 2:
-        zo_avg = np.zeros((0,) + zo.shape[1:])
-    else:
-        integral = cumulative_trapezoid(zo, times, axis=0, initial=0.0)
-        zo_avg = np.empty_like(zo)
-        zo_avg[0] = zo[0]
-        zo_avg[1:] = integral[1:] / times[1:, None, None]
-    return TrajectoryRecord(times=times, zp_coeffs=rows[:, :m], zo_coeffs=zo, zo_avg=zo_avg)
-
-
 def _validate_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -136,11 +120,12 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     because the propagator commutes with its own steps.  Steps that agree
     to 1e-9 of the largest step share one exponential, taken at their mean,
     so a uniform grid costs one ``matrix_exponential`` and a grid with s
-    distinct steps costs s.
+    distinct steps costs s.  The running average of ``zo`` is trapezoidal.
     """
     times = _validate_grid(times)
     rows = np.empty((times.size, 2 * aug.m, aug.n))
     rows[0] = np.vstack([aug.zp_selector, aug.zo_selector])
+    zo, zo_avg = rows[:, aug.m:], np.zeros((0, aug.m, aug.n))
     steps = np.diff(times)
     if steps.size:
         _, group = np.unique(np.round(steps / steps.max(), 9), return_inverse=True)
@@ -148,7 +133,10 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
         exps = [matrix_exponential(aug.a_a * h) for h in means]
         for k, g in enumerate(group.tolist()):
             rows[k + 1] = rows[k] @ exps[g]
-    return _record(times, rows, aug.m)
+        zo_avg = cumulative_trapezoid(zo, times, axis=0, initial=0.0)
+        zo_avg[0] = zo[0]
+        zo_avg[1:] /= times[1:, None, None]
+    return TrajectoryRecord(times=times, zp_coeffs=rows[:, :aug.m], zo_coeffs=zo, zo_avg=zo_avg)
 
 
 def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> ConvergenceReport:
@@ -183,56 +171,6 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
               and SLOPE_WINDOW[0] <= decay_slope <= SLOPE_WINDOW[1])
     return ConvergenceReport(zp_drift=zp_drift, final_error=final_error,
                              decay_slope=decay_slope, passed=passed)
-
-
-def ode_oracle(aug: AugmentedSystem, t_end: float, dt: float | None = None) -> TrajectoryRecord:
-    """Independent trajectory via classical fixed-step RK4 on X' = A_a X.
-
-    For a constant linear system the four RK4 stages collapse to one fixed
-    degree-4 polynomial step map, computed once and applied per step; this
-    is the textbook method, just not re-derived every step.  The step must
-    resolve the fastest oscillation: dt <= 1e-3 * (2 pi / ||A_a||_2) by
-    default.  Agreement with ``propagate`` at shared grid points is ~1e-7
-    for the systems of interest at that step size.
-
-    The full propagator X is integrated so that the commutation-preservation
-    residual can be monitored; exceeding ``DIVERGENCE_TOL`` (relative to
-    the propagator's squared norm) aborts with a RuntimeError, which
-    catches an unstable step size.
-    """
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    norm_a = np.linalg.norm(aug.a_a, 2)
-    if dt is None:
-        dt = 1e-3 * (2.0 * np.pi / norm_a) if norm_a > 0 else t_end / 1000.0
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
-    h = t_end / n_steps
-    times = np.arange(n_steps + 1) * h
-
-    n = aug.n
-    a = aug.a_a
-    eye = np.eye(n)
-    step = eye + h * a @ (eye + (h / 2) * a @ (eye + (h / 3) * a @ (eye + (h / 4) * a)))
-
-    selectors = np.vstack([aug.zp_selector, aug.zo_selector])
-    rows = np.empty((n_steps + 1,) + selectors.shape)
-    x = eye.copy()
-    check_every = max(1, n_steps // 50)
-    for k in range(n_steps + 1):
-        rows[k] = selectors @ x
-        if k % check_every == 0:
-            scale = max(1.0, float(np.linalg.norm(x, "fro") ** 2))
-            residual = np.abs(x @ aug.theta_a @ x.T - aug.theta_a).max()
-            if not np.isfinite(residual) or residual / scale > DIVERGENCE_TOL:
-                raise RuntimeError(
-                    f"integration diverged at t = {times[k]:.3g} "
-                    f"(commutation residual {residual:.3e}); reduce dt")
-        if k < n_steps:
-            x = step @ x
-
-    return _record(times, rows, aug.m)
 
 
 def averaging_error_bound(obs: ObserverDesign, c_p: np.ndarray) -> float:

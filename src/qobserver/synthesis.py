@@ -72,6 +72,8 @@ class ObserverDesign:
         Canonical commutation matrix of the observer.
     n_o : int
         Observer order: m for even m, m + 1 for odd m.
+    consistency_residual : float
+        ``||-C_o R_o^{-1} beta - I||_max``, within ``EQ_CONSISTENCY_TOL``.
     conditions : ConditionReport
         The plant's structural conditions as judged for this design.
     """
@@ -83,6 +85,7 @@ class ObserverDesign:
     r_c: np.ndarray
     theta_o: np.ndarray
     n_o: int
+    consistency_residual: float
     conditions: ConditionReport
 
     @property
@@ -136,11 +139,8 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     """
     report = check_plant_conditions(dec.source, tol=condition_tol)
     if not report.all_ok:
-        failing = [name for name, ok in [
-            ("tf_cond", report.tf_cond_ok), ("cjc", report.cjc_ok),
-            ("rank", report.rank_ok), ("bound", report.bound_ok)] if not ok]
         raise PlantConditionError(
-            f"plant fails structural conditions {failing}; residuals {report.residuals}, "
+            f"plant fails structural conditions {report.failing}; residuals {report.residuals}, "
             f"m = {dec.source.m}, n_p2 = {report.n_p2}")
     if dec.n_p2 == 0:
         raise PlantConditionError("no constant plant coordinates: nothing to estimate")
@@ -179,7 +179,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     if numerical_rank(beta) != m:
         raise PlantConditionError("beta must have full column rank")
 
-    consistency = np.abs(-c_o @ np.linalg.solve(r_o, beta) - np.eye(m)).max()
+    consistency = float(np.abs(-c_o @ np.linalg.solve(r_o, beta) - np.eye(m)).max())
     if consistency > EQ_CONSISTENCY_TOL:
         raise PlantConditionError(
             f"observer matrices violate -C_o R_o^-1 beta = I (residual {consistency:.3e})")
@@ -189,7 +189,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     return ObserverDesign(
         r_o=r_o, beta=beta, c_o=c_o, r_c_tilde=r_c_tilde, r_c=r_c,
         theta_o=np.asarray(make_commutation_matrix(n_o // 2)), n_o=n_o,
-        conditions=report,
+        consistency_residual=consistency, conditions=report,
     )
 
 

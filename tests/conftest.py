@@ -1,4 +1,4 @@
-"""Shared fixtures: the bundled six-mode system and randomized valid systems."""
+"""Shared fixtures: the bundled six-mode system, its record, and randomized valid systems."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,18 @@ from qobserver import (
     make_commutation_matrix,
     numerical_rank,
     plant_from_transformed_output,
+    propagate,
     synthesize_observer,
+    time_grid,
 )
-from qobserver.demo import sixmode_plant
+from qobserver.config import build_plant
+from qobserver.demo import sixmode_config
 
 
 @pytest.fixture(scope="session")
 def sixmode():
     """(plant, dec) for the bundled six-mode example."""
-    return sixmode_plant()
+    return build_plant(sixmode_config())
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +29,13 @@ def sixmode_system(sixmode):
     obs = synthesize_observer(dec, r_o=np.eye(2), c_o=np.eye(2), beta=-np.eye(2))
     aug = assemble_augmented(plant, obs)
     return plant, dec, obs, aug
+
+
+@pytest.fixture(scope="session")
+def sixmode_record(sixmode_system):
+    """The six-mode system propagated over time_grid(200, 0.01)."""
+    *_, aug = sixmode_system
+    return propagate(aug, time_grid(200.0, 0.01))
 
 
 def random_valid_plant(rng, n_modes=None, m=None, r_scale=0.1, c_scale=0.5):

@@ -11,7 +11,6 @@ from qobserver.cli import (
     cmd_demo,
     main,
     read_matrices_csv,
-    read_trajectory_csv,
     write_matrices_csv,
 )
 from qobserver.config import (
@@ -24,6 +23,14 @@ from qobserver.config import (
     save_config,
 )
 from qobserver.demo import sixmode_config
+
+
+def read_trajectory_csv(path):
+    """Inverse of ``write_trajectory_csv``; returns (times, flat_coeffs, header)."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return data[:, 0], data[:, 1:], header
 
 
 def assert_input_error(code, capsys):
@@ -218,9 +225,7 @@ class TestCliCommands:
             "r_p": [0.0] * 25, "c_p": [1.0, 0, 0, 0, 0]}))
         assert main(["analyze", str(path)]) == 2
 
-    def test_analyze_fails_on_zero_output(self, sixmode_path, tmp_path):
-        cfg = load_config(sixmode_path)
-        plant, _ = build_plant(cfg)
+    def test_analyze_fails_on_zero_output(self, tmp_path):
         zeroed = PlantConfig(n_p=6, m=2, r_p=np.ones((6, 6)), c_p=np.zeros((2, 6)))
         path = tmp_path / "zeroed.json"
         save_config(zeroed, path)
@@ -335,9 +340,11 @@ class TestCliCommands:
                      "--t-end", "10", "--dt", "3"])
         assert_input_error(code, capsys)
 
+    # the last two are finite, but their grids (about 1e302 points) cannot be held
     @pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--t-end", "nan"),
                                             ("--dt", "nan"), ("--omega", "inf"),
-                                            ("--tol", "inf")])
+                                            ("--tol", "inf"), ("--dt", "1e-300"),
+                                            ("--t-end", "1e300")])
     def test_simulate_rejects_nonfinite_override(self, tmp_path, sixmode_path, capsys,
                                                  flag, value):
         code = main(["simulate", str(sixmode_path), str(tmp_path / "x"), flag, value])

@@ -140,6 +140,7 @@ class TestPlantConditions:
         report = check_plant_conditions(degraded)
         assert not report.rank_ok
         assert report.tf_cond_ok and report.cjc_ok  # unaffected by duplication
+        assert report.failing == ["rank"] and not report.all_ok
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_flags_invariant_under_row_scaling(self, sixmode, scale):

@@ -45,7 +45,7 @@ class TestSynthesizeObserver:
         assert np.array_equal(obs.c_o, np.eye(2))
         assert np.array_equal(obs.beta, -np.eye(2))
         residual = np.abs(-obs.c_o @ np.linalg.solve(obs.r_o, obs.beta) - np.eye(2)).max()
-        assert residual == 0.0
+        assert residual == 0.0 == obs.consistency_residual
 
     def test_odd_output_count_pads_observer(self):
         _, dec = odd_m_plant()
@@ -71,13 +71,13 @@ class TestSynthesizeObserver:
             assert np.linalg.eigvalsh(obs.r_o)[0] > 0
             residual = np.abs(
                 -obs.c_o @ np.linalg.solve(obs.r_o, obs.beta) - np.eye(2)).max()
-            assert residual <= 1e-10
+            assert residual <= 1e-10 and obs.consistency_residual == residual
             assert np.abs(obs.r_c_tilde - dec.c_p2_tilde.T @ obs.beta.T).max() == 0.0
 
     def test_refuses_failing_plant(self, sixmode):
         plant, _ = sixmode
         bad = QuantumLinearSystem(plant.theta, plant.r, np.eye(2, 6))
-        with pytest.raises(PlantConditionError, match="tf_cond"):
+        with pytest.raises(PlantConditionError, match=r"conditions \['tf_cond', 'cjc'\];"):
             synthesize_observer(decompose_plant(bad))
 
     def test_refuses_when_nothing_constant(self):
