@@ -92,7 +92,7 @@ def _decompose_dynamics(theta: np.ndarray, r: np.ndarray) -> dict:
     """
     n = theta.shape[0]
     cr = np.hstack([r, theta @ r])
-    u, s, _ = np.linalg.svd(cr)
+    u, s, _ = np.linalg.svd(cr, full_matrices=False)
     n_p1 = _rank_from_singular_values(s, cr.shape)
     n_p2 = n - n_p1
 

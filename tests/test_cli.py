@@ -1,6 +1,10 @@
 """Configuration files, CSV interchange, CLI commands and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,6 +410,19 @@ class TestCliCommands:
 
     def test_missing_config_is_input_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
+
+    def test_simulate_loads_no_scipy(self, fast_sixmode_path, tmp_path):
+        # numpy is the only numerical runtime; scipy serves the tests alone
+        import qobserver
+
+        script = ("import sys, qobserver.cli\n"
+                  "code = qobserver.cli.main(['simulate', sys.argv[1], sys.argv[2]])\n"
+                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(qobserver.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", script, str(fast_sixmode_path),
+                              str(tmp_path / "run")], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "0 []"
 
 
 class TestDemo:

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.integrate import cumulative_trapezoid
 
 from qobserver import (
     AugmentedSystem,
@@ -11,6 +13,7 @@ from qobserver import (
     averaging_error_bound,
     matrix_exponential,
     propagate,
+    simulation,
     time_average_error,
     time_grid,
 )
@@ -51,6 +54,32 @@ def exponentials(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def pade_choices(monkeypatch):
+    """(degree, squarings) chosen by each matrix_exponential call."""
+    choices = []
+    pick = simulation._pade_degree
+
+    def recorded(a, evens):
+        choices.append(pick(a, evens))
+        return choices[-1]
+
+    monkeypatch.setattr(simulation, "_pade_degree", recorded)
+    return choices
+
+
+def random_normal_matrix(rng, n, norm):
+    """(A, e^A) for A = Q D Q^T with D of blocks [[x, y], [-y, x]] (and one 1x1 for odd n)."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    x, y, z = rng.normal(size=n // 2), rng.normal(size=n // 2), rng.normal(size=n % 2)
+    d = scipy.linalg.block_diag(*(np.array([[xi, yi], [-yi, xi]]) for xi, yi in zip(x, y)),
+                                np.diag(z))
+    c = norm / np.abs(q @ d @ q.T).sum(axis=0).max()
+    exp_d = scipy.linalg.block_diag(*(np.exp(c * xi) * rotation(c * yi) for xi, yi in zip(x, y)),
+                                    np.diag(np.exp(c * z)))
+    return c * (q @ d @ q.T), q @ exp_d @ q.T
+
+
 class TestMatrixExponential:
     def test_zero(self):
         assert np.array_equal(matrix_exponential(np.zeros((3, 3))), np.eye(3))
@@ -83,6 +112,34 @@ class TestMatrixExponential:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             matrix_exponential(np.array([[0.0, np.inf], [0.0, 0.0]]))
+
+    def test_rejects_unrepresentable_powers(self):
+        with pytest.raises(ValueError, match="1-norm"):
+            matrix_exponential(np.array([[0.0, 1e40], [-1e40, 0.0]]))
+
+    def test_matches_scipy_expm(self, pade_choices):
+        # 1-norms from 1e-3 to theta_13 = 4.25 reach every Pade degree unscaled
+        rng = np.random.default_rng(83)
+        for n in (2, 5, 20, 60):
+            for norm in (1e-3, 0.1, 0.5, 1.5, 4.0):
+                a = rng.normal(size=(n, n))
+                a *= norm / np.abs(a).sum(axis=0).max()
+                reference = scipy.linalg.expm(a)
+                rel = np.linalg.norm(matrix_exponential(a) - reference) / np.linalg.norm(reference)
+                assert rel <= 1e-12
+        assert {m for m, _ in pade_choices} == {3, 5, 7, 9, 13}
+
+    def test_squaring_matches_spectral_form(self, pade_choices):
+        # Above theta_13 the result is squared.  The reference is exact here:
+        # scipy's degree-13 path itself strays by up to ~6e-12 on such
+        # matrices at n <= 5 (measured against 50-digit arithmetic).
+        rng = np.random.default_rng(89)
+        for n in (2, 5, 20, 60):
+            for norm in (20.0, 100.0):
+                a, reference = random_normal_matrix(rng, n, norm)
+                rel = np.linalg.norm(matrix_exponential(a) - reference) / np.linalg.norm(reference)
+                assert rel <= 1e-12
+        assert all(m == 13 and s > 0 for m, s in pade_choices)
 
 
 class TestTimeGrid:
@@ -173,6 +230,27 @@ class TestPropagate:
             assert np.all(np.abs(rows - reference)
                           <= 1e-9 * np.maximum(1.0, np.abs(reference)))
 
+    def test_stepped_plant_outputs_hold_over_20000_steps(self, sixmode_system):
+        # the odd/even split I + 2 (V - U)^-1 U keeps this below 1e-9;
+        # solving (V - U) X = V + U drifts to about 2.3e-9
+        *_, aug = sixmode_system
+        e = matrix_exponential(aug.a_a * 0.01)
+        rows = np.vstack([aug.zp_selector, aug.zo_selector])
+        drift = 0.0
+        for _ in range(20000):
+            rows = rows @ e
+            drift = max(drift, np.abs(rows[:aug.m] - aug.zp_selector).max())
+        assert drift <= 1e-9
+
+    @pytest.mark.parametrize("grid", ["sixmode", "mixed"])
+    def test_average_is_cumulative_trapezoid(self, sixmode_system, sixmode_record, grid):
+        *_, aug = sixmode_system
+        record = sixmode_record if grid == "sixmode" else propagate(aug, MIXED_GRID)
+        t = record.times
+        reference = cumulative_trapezoid(record.zo_coeffs, t, axis=0, initial=0)
+        assert np.array_equal(record.zo_avg[1:], reference[1:] / t[1:, None, None])
+        assert np.array_equal(record.zo_avg[0], record.zo_coeffs[0])
+
     def test_commutation_and_energy_preserved_on_grid(self):
         # step-and-square propagation keeps both quadratic invariants
         rng = np.random.default_rng(67)
@@ -242,6 +320,11 @@ class TestTimeAverageError:
         target_norm = np.linalg.norm(aug.zp_selector)
         assert abs(report.final_error - target_norm) <= 0.1
         assert report.zp_drift <= 1e-10  # plant outputs still constant
+
+    def test_drift_is_largest_deviation(self, sixmode_system, sixmode_record):
+        *_, aug = sixmode_system
+        zp = sixmode_record.zp_coeffs
+        assert time_average_error(sixmode_record, aug).zp_drift == np.abs(zp - zp[0]).max()
 
     def test_requires_minimum_horizon(self, sixmode_system):
         *_, aug = sixmode_system
