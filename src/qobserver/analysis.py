@@ -18,7 +18,6 @@ from .model import (
     _as_matrix,
     _rank_from_singular_values,
     make_commutation_matrix,
-    numerical_rank,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ class DecomposedPlant:
     n_p1: int
     n_p2: int
     source: QuantumLinearSystem
-    controllable: bool
     residuals: dict
 
 
@@ -117,13 +115,8 @@ def _decompose_dynamics(theta: np.ndarray, r: np.ndarray) -> dict:
         "r_structure": float(max(np.abs(r_t[n_p1:, :]).max(initial=0.0),
                                  np.abs(r_t[:n_p1, n_p1:]).max(initial=0.0))),
     }
-    # Controllability of the rotated dynamical block, checked rather than
-    # assumed: rank [R1, Theta11 R1] must fill it.
-    r1 = (p.T @ r)[:n_p1, :]
-    controllable = numerical_rank(np.hstack([r1, theta11 @ r1])) == n_p1
-
     return dict(p=p, n_p1=n_p1, n_p2=n_p2, theta11=theta11, theta22=theta22,
-                r_p11=r_p11, controllable=controllable, residuals=residuals)
+                r_p11=r_p11, residuals=residuals)
 
 
 def _decomposed(plant: QuantumLinearSystem, dynamics: dict,

@@ -20,8 +20,9 @@ import numpy as np
 from .analysis import DecomposedPlant, transformed_condition_check
 from .config import ConfigError, PlantConfig, build_plant, load_config
 from .demo import sixmode_config
-from .model import ConditionReport, check_plant_conditions
-from .simulation import DRIFT_TOL, SLOPE_WINDOW, propagate, time_average_error, time_grid
+from .model import ConditionReport, _judge_conditions
+from .simulation import (DRIFT_TOL, MAX_RECORD_BYTES, SLOPE_WINDOW, propagate,
+                         time_average_error, time_grid)
 from .synthesis import (
     ObserverDesign,
     PlantConditionError,
@@ -31,13 +32,9 @@ from .synthesis import (
 )
 
 __all__ = ["RunReport", "main", "cmd_analyze", "cmd_synthesize", "cmd_simulate",
-           "cmd_demo", "write_matrices_csv", "read_matrices_csv",
-           "write_trajectory_csv"]
+           "cmd_demo", "write_matrices_csv", "write_trajectory_csv"]
 
 FLOAT_FMT = "%.17g"
-# Largest trajectory record simulate builds: zp, zo and zo_avg hold
-# 3 m (n_p + n_o) doubles per grid point.
-MAX_RECORD_BYTES = 2**30
 
 
 @dataclasses.dataclass
@@ -82,30 +79,6 @@ def write_matrices_csv(path, matrices: dict):
                     writer.writerow([name, i, j, FLOAT_FMT % mat[i, j]])
 
 
-def read_matrices_csv(path) -> dict:
-    """Inverse of ``write_matrices_csv``; each cell must appear exactly once."""
-    entries: dict[str, list] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["matrix", "row", "col", "value"]:
-            raise ValueError(f"unexpected matrix CSV header: {header}")
-        for name, i, j, value in reader:
-            entries.setdefault(name, []).append((int(i), int(j), float(value)))
-    out = {}
-    for name, cells in entries.items():
-        rows = 1 + max(i for i, _, _ in cells)
-        cols = 1 + max(j for _, j, _ in cells)
-        if sorted((i, j) for i, j, _ in cells) != [(i, j) for i in range(rows)
-                                                   for j in range(cols)]:
-            raise ValueError(f"matrix {name}: cells do not cover {rows}x{cols} exactly once")
-        mat = np.zeros((rows, cols))
-        for i, j, v in cells:
-            mat[i, j] = v
-        out[name] = mat
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
@@ -124,7 +97,6 @@ def _decomposition_dict(dec: DecomposedPlant) -> dict:
     return {
         "n_p1": dec.n_p1,
         "n_p2": dec.n_p2,
-        "controllable": dec.controllable,
         "r_p11_eigenvalues": sorted(float(v) for v in np.linalg.eigvalsh(dec.r_p11)),
         "theta11_eigenvalues_imag": sorted(
             float(v) for v in np.linalg.eigvals(dec.theta11).imag),
@@ -179,7 +151,7 @@ def _design(cfg: PlantConfig):
 def cmd_analyze(config_path, report_path=None, **overrides) -> RunReport:
     cfg = dataclasses.replace(load_config(config_path), **overrides)
     plant, dec = build_plant(cfg)
-    conditions = check_plant_conditions(plant, tol=cfg.tol)
+    conditions = _judge_conditions(plant, dec.n_p1, cfg.tol)
     report = RunReport(
         conditions=_conditions_dict(conditions),
         decomposition=_decomposition_dict(dec),
@@ -229,7 +201,10 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
                           f"dt = {cfg.dt}): convergence evaluation needs t_end >= 10")
     plant, dec, obs = _design(cfg)
     aug = assemble_augmented(plant, obs)
-    record = propagate(aug, times)
+    try:
+        record = propagate(aug, times)
+    except ValueError as exc:  # a step exponential that overflows doubles
+        raise ConfigError(str(exc)) from exc
     convergence = time_average_error(record, aug)
 
     out_dir = Path(out_dir)

@@ -213,9 +213,15 @@ def check_plant_conditions(plant: QuantumLinearSystem,
     * ``m <= n_p2 / 2`` where ``n_p2 = n - rank [R, Theta R]`` counts the
       variables that stay constant under the free plant dynamics.
     """
+    cr = np.hstack([plant.r, plant.theta @ plant.r])
+    return _judge_conditions(plant, numerical_rank(cr), tol)
+
+
+def _judge_conditions(plant: QuantumLinearSystem, rank_cr: int, tol: float) -> ConditionReport:
+    """The verdicts of ``check_plant_conditions`` given ``rank [R, Theta R]``, such as
+    the ``n_p1`` of the plant's decomposition, so that a design factors the span once."""
     theta, r, c = plant.theta, plant.r, plant.c
     cr = np.hstack([r, theta @ r])
-    rank_cr = numerical_rank(cr)
     n_p2 = plant.n - rank_cr
 
     tf_residual = float(np.abs(c @ cr).max())

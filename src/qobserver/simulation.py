@@ -27,12 +27,15 @@ __all__ = [
     "propagate",
     "time_average_error",
     "averaging_error_bound",
-    "DRIFT_TOL", "SLOPE_WINDOW",
+    "DRIFT_TOL", "SLOPE_WINDOW", "MAX_RECORD_BYTES",
 ]
 
 # Convergence verdict: time averages decay like 1/T.
 DRIFT_TOL = 1e-6
 SLOPE_WINDOW = (-1.3, -0.7)
+# Largest array a grid may imply: its own times, or simulate's record of
+# zp, zo and zo_avg, 3 m (n_p + n_o) doubles per grid point.
+MAX_RECORD_BYTES = 2**30
 
 
 # Pade coefficients b_0..b_m of the diagonal approximant r_m (Higham 2005).
@@ -107,6 +110,7 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     its odd part U and even part V, the result is formed as
     ``I + 2 (V - U)^-1 U``, which keeps the quantities the flow conserves
     markedly better than solving for V + U.  Exact for a zero matrix.
+    Raises ``ValueError`` when the result does not fit in doubles.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -135,16 +139,26 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
              + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, 2.0 * u)
     r += ident
-    for _ in range(s):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"matrix_exponential overflowed in squaring a 1-norm of {norm:.3g}")
     return r
 
 
 def time_grid(t_end: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, 2 dt, ..., ending at (the grid point nearest) t_end."""
+    """Uniform grid 0, dt, 2 dt, ..., ending at (the grid point nearest) t_end.
+
+    Refuses a grid whose times alone would exceed ``MAX_RECORD_BYTES``.
+    """
     if not (t_end > 0 and dt > 0):
         raise ValueError(f"t_end and dt must be positive, got {t_end}, {dt}")
-    n_steps = int(round(t_end / dt))
+    steps = t_end / dt
+    if not steps + 1 <= MAX_RECORD_BYTES / 8:
+        raise ValueError(f"grid of {steps + 1:.3g} points (t_end = {t_end}, dt = {dt}) "
+                         f"would exceed MAX_RECORD_BYTES = {MAX_RECORD_BYTES / 2**30:g} GiB")
+    n_steps = int(round(steps))
     if n_steps < 1:
         raise ValueError(f"dt = {dt} too large for horizon {t_end}")
     return np.arange(n_steps + 1) * dt
@@ -234,6 +248,16 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     return TrajectoryRecord(times=times, zp_coeffs=rows[:, :aug.m], zo_coeffs=zo, zo_avg=zo_avg)
 
 
+def _average_errors(zo_avg: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``norm(zo_avg - target, axis=(1, 2))`` in blocks of about 2^15 elements,
+    so that its temporaries stay small next to the record."""
+    errors = np.empty(len(zo_avg))
+    rows = max(1, 2**15 // target.size)
+    for k in range(0, errors.size, rows):
+        errors[k:k + rows] = np.linalg.norm(zo_avg[k:k + rows] - target, axis=(1, 2))
+    return errors
+
+
 def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> ConvergenceReport:
     """Measure time-averaged convergence of observer outputs to plant outputs.
 
@@ -254,7 +278,7 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
     zp_drift = float(max((rec.zp_coeffs.max(axis=0) - target).max(),
                          (target - rec.zp_coeffs.min(axis=0)).max()))
 
-    errors = np.linalg.norm(rec.zo_avg - aug.zp_selector, axis=(1, 2))
+    errors = _average_errors(rec.zo_avg, aug.zp_selector)
     final_error = float(errors[-1])
 
     window = (rec.times >= rec.t_end / 32) & (rec.times > 0)

@@ -24,7 +24,7 @@ from .model import (
     QuantumLinearSystem,
     SYMMETRY_TOL,
     _as_matrix,
-    check_plant_conditions,
+    _judge_conditions,
     dynamics_from_hamiltonian,
     make_commutation_matrix,
     numerical_rank,
@@ -134,16 +134,15 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     Raises
     ------
     PlantConditionError
-        If the source plant fails any structural condition, has no constant
-        coordinates to estimate, or the supplied matrices are inconsistent.
+        If the source plant fails any structural condition (with no constant
+        coordinates the bound ``2 m <= n_p2`` fails), or the supplied matrices
+        are inconsistent.
     """
-    report = check_plant_conditions(dec.source, tol=condition_tol)
+    report = _judge_conditions(dec.source, dec.n_p1, condition_tol)
     if not report.all_ok:
         raise PlantConditionError(
             f"plant fails structural conditions {report.failing}; residuals {report.residuals}, "
             f"m = {dec.source.m}, n_p2 = {report.n_p2}")
-    if dec.n_p2 == 0:
-        raise PlantConditionError("no constant plant coordinates: nothing to estimate")
 
     m = dec.source.m
     n_o = _observer_order(m)

@@ -89,7 +89,6 @@ class TestDecomposePlant:
         # skew spectra: one mode pair and two mode pairs
         np.testing.assert_allclose(sorted_imag(dec.theta11), [-1.0, 1.0], atol=1e-9)
         np.testing.assert_allclose(sorted_imag(dec.theta22), [-1, -1, 1, 1], atol=1e-9)
-        assert dec.controllable
 
     def test_sixmode_invariants(self, sixmode):
         plant, dec = sixmode
@@ -149,7 +148,6 @@ class TestDecomposePlant:
             for key in ("orthogonality", "theta_offdiag", "theta22_canonical",
                         "r_structure", "c_zero_block"):
                 assert dec.residuals[key] <= 1e-9, key
-            assert dec.controllable
 
     def test_dynamics_spectrum_preserved(self):
         # eig(A_p) = eig(2 Theta11 R_p11) plus n_p2 zeros.  Kept at modest

@@ -1,7 +1,10 @@
 """Configuration files, CSV interchange, CLI commands and exit codes."""
 
+import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,14 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qobserver import CONDITION_TOL, check_plant_conditions
-from qobserver.cli import (
-    RunReport,
-    cmd_demo,
-    main,
-    read_matrices_csv,
-    write_matrices_csv,
+from qobserver import (
+    CONDITION_TOL,
+    PlantConditionError,
+    QuantumLinearSystem,
+    check_plant_conditions,
+    decompose_plant,
+    synthesize_observer,
 )
+from qobserver.cli import RunReport, cmd_analyze, cmd_demo, main, write_matrices_csv
 from qobserver.config import (
     ConfigError,
     PlantConfig,
@@ -27,6 +31,9 @@ from qobserver.config import (
     save_config,
 )
 from qobserver.demo import sixmode_config
+from qobserver.model import _judge_conditions
+
+from conftest import random_valid_plant
 
 
 def read_trajectory_csv(path):
@@ -35,6 +42,30 @@ def read_trajectory_csv(path):
         header = fh.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return data[:, 0], data[:, 1:], header
+
+
+def read_matrices_csv(path) -> dict:
+    """Inverse of ``write_matrices_csv``; each cell must appear exactly once."""
+    entries: dict[str, list] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["matrix", "row", "col", "value"]:
+            raise ValueError(f"unexpected matrix CSV header: {header}")
+        for name, i, j, value in reader:
+            entries.setdefault(name, []).append((int(i), int(j), float(value)))
+    out = {}
+    for name, cells in entries.items():
+        rows = 1 + max(i for i, _, _ in cells)
+        cols = 1 + max(j for _, j, _ in cells)
+        if sorted((i, j) for i, j, _ in cells) != [(i, j) for i in range(rows)
+                                                   for j in range(cols)]:
+            raise ValueError(f"matrix {name}: cells do not cover {rows}x{cols} exactly once")
+        mat = np.zeros((rows, cols))
+        for i, j, v in cells:
+            mat[i, j] = v
+        out[name] = mat
+    return out
 
 
 def assert_input_error(code, capsys):
@@ -75,15 +106,15 @@ def perturbed_sixmode_path(tmp_path):
 
 @pytest.fixture
 def condition_checks(monkeypatch):
-    """Count calls of check_plant_conditions made through the cli and synthesis."""
+    """Count the condition verdicts judged through the cli and synthesis."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return check_plant_conditions(*args, **kwargs)
+        return _judge_conditions(*args, **kwargs)
 
-    monkeypatch.setattr("qobserver.synthesis.check_plant_conditions", counted)
-    monkeypatch.setattr("qobserver.cli.check_plant_conditions", counted)
+    monkeypatch.setattr("qobserver.synthesis._judge_conditions", counted)
+    monkeypatch.setattr("qobserver.cli._judge_conditions", counted)
     return calls
 
 
@@ -298,6 +329,22 @@ class TestCliCommands:
         assert main(["simulate", str(fast_sixmode_path), str(tmp_path / "run")]) == 0
         assert len(condition_checks) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "synthesize", "simulate"])
+    def test_each_command_factors_the_dynamics_span_once(
+            self, fast_sixmode_path, tmp_path, monkeypatch, command):
+        svd, spans = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a)[1] == 12:  # [R, Theta R] of the six-mode plant
+                spans.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        out = {"analyze": [], "synthesize": [str(tmp_path / "obs.csv")],
+               "simulate": [str(tmp_path / "run")]}[command]
+        assert main([command, str(fast_sixmode_path), *out]) == 0
+        assert spans == [(6, 12)]
+
     def test_synthesize_refuses_bad_plant(self, tmp_path):
         bad = PlantConfig(n_p=6, m=2, r_p=np.ones((6, 6)), c_p=np.eye(2, 6))
         path = tmp_path / "bad.json"
@@ -344,11 +391,13 @@ class TestCliCommands:
                      "--t-end", "10", "--dt", "3"])
         assert_input_error(code, capsys)
 
-    # the last two are finite, but their grids (about 1e302 points) cannot be held
+    # "--dt 1e-300" and "--t-end 1e300" are finite, but their grids (about 1e302
+    # points) cannot be held; neither can the step exponentials of the last two
     @pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--t-end", "nan"),
                                             ("--dt", "nan"), ("--omega", "inf"),
                                             ("--tol", "inf"), ("--dt", "1e-300"),
-                                            ("--t-end", "1e300")])
+                                            ("--t-end", "1e300"), ("--omega", "1e31"),
+                                            ("--omega", "1e160")])
     def test_simulate_rejects_nonfinite_override(self, tmp_path, sixmode_path, capsys,
                                                  flag, value):
         code = main(["simulate", str(sixmode_path), str(tmp_path / "x"), flag, value])
@@ -423,6 +472,40 @@ class TestCliCommands:
                               str(tmp_path / "run")], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
         assert out.stdout.splitlines()[-1] == "0 []"
+
+
+class TestConditionsFromDecomposition:
+    """Designs judge the conditions from the decomposition's rank of [R, Theta R];
+    the verdicts equal those of the standalone check_plant_conditions."""
+
+    @staticmethod
+    def plants():
+        rng = np.random.default_rng(97)
+        valid = [random_valid_plant(rng)[0] for _ in range(20)]
+        six, six_dec = build_plant(sixmode_config())
+        p2 = six_dec.p[:, 2:]
+        # the q and p of one constant mode do not commute; four outputs exceed n_p2 / 2
+        non_commuting = QuantumLinearSystem(six.theta, six.r, np.eye(2, 4) @ p2.T)
+        too_many = QuantumLinearSystem(six.theta, six.r, p2.T)
+        return valid + [non_commuting, too_many]
+
+    def test_design_and_analyze_equal_the_reference_check(self, tmp_path):
+        failing = 0
+        for i, plant in enumerate(self.plants()):
+            reference = check_plant_conditions(plant)
+            dec = decompose_plant(plant)
+            if reference.all_ok:
+                assert synthesize_observer(dec).conditions == reference
+            else:
+                failing += 1
+                with pytest.raises(PlantConditionError, match=re.escape(
+                        f"{reference.failing}; residuals {reference.residuals}")):
+                    synthesize_observer(dec)
+            path = tmp_path / f"plant{i}.json"
+            save_config(PlantConfig(n_p=plant.n, m=plant.m, r_p=plant.r, c_p=plant.c), path)
+            analyzed = cmd_analyze(path).conditions
+            assert analyzed == {**dataclasses.asdict(reference), "all_ok": reference.all_ok}
+        assert failing == 2
 
 
 class TestDemo:

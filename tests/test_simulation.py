@@ -1,6 +1,7 @@
 """Propagator, trajectories, time-average diagnostics, and the RK4 oracle."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qobserver import (
     time_average_error,
     time_grid,
 )
+from qobserver.simulation import _average_errors
 
 from conftest import random_valid_system
 from oracles import ode_oracle
@@ -117,6 +119,11 @@ class TestMatrixExponential:
         with pytest.raises(ValueError, match="1-norm"):
             matrix_exponential(np.array([[0.0, 1e40], [-1e40, 0.0]]))
 
+    def test_rejects_overflow_in_squaring(self):
+        # a 1-norm under 2^100 whose squarings overflow; no warning escapes
+        with pytest.raises(ValueError, match="overflowed"):
+            matrix_exponential(np.array([[0.0, 2e29], [-2e29, 0.0]]))
+
     def test_matches_scipy_expm(self, pade_choices):
         # 1-norms from 1e-3 to theta_13 = 4.25 reach every Pade degree unscaled
         rng = np.random.default_rng(83)
@@ -150,6 +157,11 @@ class TestTimeGrid:
     @pytest.mark.parametrize("t_end,dt", [(0.0, 0.1), (1.0, 0.0), (-1.0, 0.1)])
     def test_rejects_degenerate(self, t_end, dt):
         with pytest.raises(ValueError):
+            time_grid(t_end, dt)
+
+    @pytest.mark.parametrize("t_end,dt", [(200.0, 1e-300), (1e300, 1e-300)])
+    def test_rejects_grid_beyond_record_bound(self, t_end, dt):
+        with pytest.raises(ValueError, match="would exceed MAX_RECORD_BYTES"):
             time_grid(t_end, dt)
 
 
@@ -289,6 +301,20 @@ class TestTimeAverageError:
             k = int(round(t / 0.01))
             predicted = abs(np.sin(t)) / t * offset
             assert abs(errors[k] - predicted) <= 1e-4
+
+    def test_error_norms_are_blocked_without_record_sized_temporaries(
+            self, sixmode_system, sixmode_record):
+        *_, aug = sixmode_system
+        zo_avg = sixmode_record.zo_avg
+        expected = np.linalg.norm(zo_avg - aug.zp_selector, axis=(1, 2))
+        tracemalloc.start()
+        try:
+            errors = _average_errors(zo_avg, aug.zp_selector)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(errors, expected)
+        assert peak < zo_avg.nbytes / 2
 
     def test_bounded_by_averaging_constant(self, sixmode_system, sixmode_record):
         plant, _, obs, aug = sixmode_system
