@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import DecomposedPlant, transformed_condition_check
 from .config import ConfigError, PlantConfig, build_plant, load_config
 from .demo import sixmode_config
-from .model import ConditionReport, _judge_conditions
+from .model import ConditionReport, check_plant_conditions
 from .simulation import (DRIFT_TOL, MAX_RECORD_BYTES, SLOPE_WINDOW, propagate,
                          time_average_error, time_grid)
 from .synthesis import (
@@ -151,7 +151,7 @@ def _design(cfg: PlantConfig):
 def cmd_analyze(config_path, report_path=None, **overrides) -> RunReport:
     cfg = dataclasses.replace(load_config(config_path), **overrides)
     plant, dec = build_plant(cfg)
-    conditions = _judge_conditions(plant, dec.n_p1, cfg.tol)
+    conditions = check_plant_conditions(plant, cfg.tol, rank_cr=dec.n_p1)
     report = RunReport(
         conditions=_conditions_dict(conditions),
         decomposition=_decomposition_dict(dec),

@@ -198,8 +198,8 @@ class ConditionReport:
         return not self.failing
 
 
-def check_plant_conditions(plant: QuantumLinearSystem,
-                           tol: float = CONDITION_TOL) -> ConditionReport:
+def check_plant_conditions(plant: QuantumLinearSystem, tol: float = CONDITION_TOL, *,
+                           rank_cr: int | None = None) -> ConditionReport:
     """Check the structural conditions for estimability of the plant outputs.
 
     The checks, with residuals measured in the element-wise max norm:
@@ -212,16 +212,14 @@ def check_plant_conditions(plant: QuantumLinearSystem,
     * ``C`` has full row rank m (numerical rank via SVD);
     * ``m <= n_p2 / 2`` where ``n_p2 = n - rank [R, Theta R]`` counts the
       variables that stay constant under the free plant dynamics.
+
+    A caller that has decomposed the plant passes its ``n_p1`` as `rank_cr`,
+    so that a design factors ``[R, Theta R]`` once; otherwise it is ranked here.
     """
-    cr = np.hstack([plant.r, plant.theta @ plant.r])
-    return _judge_conditions(plant, numerical_rank(cr), tol)
-
-
-def _judge_conditions(plant: QuantumLinearSystem, rank_cr: int, tol: float) -> ConditionReport:
-    """The verdicts of ``check_plant_conditions`` given ``rank [R, Theta R]``, such as
-    the ``n_p1`` of the plant's decomposition, so that a design factors the span once."""
     theta, r, c = plant.theta, plant.r, plant.c
     cr = np.hstack([r, theta @ r])
+    if rank_cr is None:
+        rank_cr = numerical_rank(cr)
     n_p2 = plant.n - rank_cr
 
     tf_residual = float(np.abs(c @ cr).max())

@@ -24,7 +24,7 @@ from .model import (
     QuantumLinearSystem,
     SYMMETRY_TOL,
     _as_matrix,
-    _judge_conditions,
+    check_plant_conditions,
     dynamics_from_hamiltonian,
     make_commutation_matrix,
     numerical_rank,
@@ -138,7 +138,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
         coordinates the bound ``2 m <= n_p2`` fails), or the supplied matrices
         are inconsistent.
     """
-    report = _judge_conditions(dec.source, dec.n_p1, condition_tol)
+    report = check_plant_conditions(dec.source, condition_tol, rank_cr=dec.n_p1)
     if not report.all_ok:
         raise PlantConditionError(
             f"plant fails structural conditions {report.failing}; residuals {report.residuals}, "

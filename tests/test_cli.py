@@ -31,7 +31,6 @@ from qobserver.config import (
     save_config,
 )
 from qobserver.demo import sixmode_config
-from qobserver.model import _judge_conditions
 
 from conftest import random_valid_plant
 
@@ -106,15 +105,15 @@ def perturbed_sixmode_path(tmp_path):
 
 @pytest.fixture
 def condition_checks(monkeypatch):
-    """Count the condition verdicts judged through the cli and synthesis."""
+    """Count calls of check_plant_conditions made through the cli and synthesis."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return _judge_conditions(*args, **kwargs)
+        return check_plant_conditions(*args, **kwargs)
 
-    monkeypatch.setattr("qobserver.synthesis._judge_conditions", counted)
-    monkeypatch.setattr("qobserver.cli._judge_conditions", counted)
+    monkeypatch.setattr("qobserver.synthesis.check_plant_conditions", counted)
+    monkeypatch.setattr("qobserver.cli.check_plant_conditions", counted)
     return calls
 
 
