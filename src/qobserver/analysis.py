@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    QuantumLinearSystem,
-    _as_matrix,
-    _rank_from_singular_values,
-    make_commutation_matrix,
-)
+from .model import J, QuantumLinearSystem, _as_matrix, _rank_from_singular_values
 
 __all__ = [
     "DecomposedPlant",
@@ -63,69 +58,60 @@ def _pair_basis(theta: np.ndarray) -> np.ndarray:
     Greedy pairing: each unit vector u is paired with -theta u, which is a
     unit vector orthogonal to u and to every previously paired plane
     (theta-invariant subspaces have theta-invariant orthogonal complements).
-    Already-canonical input yields Q = I exactly.
+    u is the unit e_i farthest from the columns B built so far, projected
+    off them: ||(I - B B^T) e_i||^2 = 1 - ||B[i]||^2, so i is the row of B
+    of least norm.  Already-canonical input yields Q = I exactly.
     """
     n = theta.shape[0]
-    cols: list[np.ndarray] = []
-    for _ in range(n // 2):
-        b = np.column_stack(cols) if cols else np.zeros((n, 0))
-        resid = np.eye(n) - b @ b.T
-        norms = np.linalg.norm(resid, axis=0)
-        u = resid[:, int(np.argmax(norms))]
-        u = u / np.linalg.norm(u)
+    q = np.zeros((n, n))
+    for k in range(0, n, 2):
+        b = q[:, :k]
+        i = int(np.argmin(np.einsum("ij,ij->i", b, b)))
+        u = -(b @ b[i])
+        u[i] += 1.0
+        u /= np.linalg.norm(u)
         v = -theta @ u
-        if cols:
-            v = v - b @ (b.T @ v)
-        v = v - u * (u @ v)
-        v = v / np.linalg.norm(v)
-        cols.extend([u, v])
-    return np.column_stack(cols)
+        v -= b @ (b.T @ v)
+        v -= u * (u @ v)
+        q[:, k], q[:, k + 1] = u, v / np.linalg.norm(v)
+    return q
 
 
-def _decompose_dynamics(theta: np.ndarray, r: np.ndarray) -> dict:
-    """Shared worker: the ``DecomposedPlant`` fields fixed by (Theta, R) alone.
+def _dynamics_basis(theta: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthogonal P and rank n_p1 of [R, Theta R], fixed by (Theta, R) alone.
 
     The column space of [R, Theta R] equals that of the full controllability
     matrix of (Theta, R): multiplying by Theta twice only flips signs.
     """
-    n = theta.shape[0]
     cr = np.hstack([r, theta @ r])
-    u, s, _ = np.linalg.svd(cr, full_matrices=False)
+    p, s, _ = np.linalg.svd(cr, full_matrices=False)
     n_p1 = _rank_from_singular_values(s, cr.shape)
+    tail = p[:, n_p1:]
+    p[:, n_p1:] = tail @ _pair_basis(tail.T @ theta @ tail)
+    return p, n_p1
+
+
+def _decomposed(plant: QuantumLinearSystem, p: np.ndarray, n_p1: int,
+                c_p2_tilde: np.ndarray) -> DecomposedPlant:
+    """The blocks and residuals of ``plant`` in the basis ``p``."""
+    n = p.shape[0]
     n_p2 = n - n_p1
-
-    p = u.copy()
-    if n_p2 > 0:
-        theta22_raw = u[:, n_p1:].T @ theta @ u[:, n_p1:]
-        p[:, n_p1:] = u[:, n_p1:] @ _pair_basis(theta22_raw)
-
-    theta_t = p.T @ theta @ p
-    r_t = p.T @ r @ p
-    theta11 = theta_t[:n_p1, :n_p1]
-    r_p11 = r_t[:n_p1, :n_p1]
+    theta_t = p.T @ plant.theta @ p
+    r_t = p.T @ plant.r @ p
     # The constant-subspace basis was built to realize the canonical form;
     # store it exactly rather than with the ~1e-15 dirt of the product.
-    theta22 = (make_commutation_matrix(n_p2 // 2) if n_p2 > 0
-               else np.zeros((0, 0)))
-
+    theta22 = np.kron(np.eye(n_p2 // 2), J)
     residuals = {
         "orthogonality": float(np.abs(p.T @ p - np.eye(n)).max()),
         "theta_offdiag": float(np.abs(theta_t[:n_p1, n_p1:]).max(initial=0.0)),
         "theta22_canonical": float(np.abs(theta_t[n_p1:, n_p1:] - theta22).max(initial=0.0)),
         "r_structure": float(max(np.abs(r_t[n_p1:, :]).max(initial=0.0),
                                  np.abs(r_t[:n_p1, n_p1:]).max(initial=0.0))),
+        "c_zero_block": float(np.abs((plant.c @ p)[:, :n_p1]).max(initial=0.0)),
     }
-    return dict(p=p, n_p1=n_p1, n_p2=n_p2, theta11=theta11, theta22=theta22,
-                r_p11=r_p11, residuals=residuals)
-
-
-def _decomposed(plant: QuantumLinearSystem, dynamics: dict,
-                c_p2_tilde: np.ndarray) -> DecomposedPlant:
-    """Complete the fields of ``_decompose_dynamics`` with the plant's output."""
-    c_zero_block = np.abs((plant.c @ dynamics["p"])[:, :dynamics["n_p1"]]).max(initial=0.0)
-    residuals = dict(dynamics["residuals"], c_zero_block=float(c_zero_block))
-    return DecomposedPlant(**dict(dynamics, residuals=residuals),
-                           c_p2_tilde=c_p2_tilde, source=plant)
+    return DecomposedPlant(p=p, theta11=theta_t[:n_p1, :n_p1], theta22=theta22,
+                           r_p11=r_t[:n_p1, :n_p1], c_p2_tilde=c_p2_tilde,
+                           n_p1=n_p1, n_p2=n_p2, source=plant, residuals=residuals)
 
 
 def decompose_plant(plant: QuantumLinearSystem) -> DecomposedPlant:
@@ -141,8 +127,8 @@ def decompose_plant(plant: QuantumLinearSystem) -> DecomposedPlant:
     violating the structural conditions decomposes fine; the violation
     shows up in ``residuals["c_zero_block"]``.
     """
-    dynamics = _decompose_dynamics(plant.theta, plant.r)
-    return _decomposed(plant, dynamics, (plant.c @ dynamics["p"])[:, dynamics["n_p1"]:])
+    p, n_p1 = _dynamics_basis(plant.theta, plant.r)
+    return _decomposed(plant, p, n_p1, (plant.c @ p)[:, n_p1:])
 
 
 def transformed_condition_check(dec: DecomposedPlant) -> float:
@@ -171,12 +157,12 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
     theta_p = _as_matrix(theta_p, "theta_p")
     r_p = _as_matrix(r_p, "r_p")
     c_p2_tilde = np.atleast_2d(np.asarray(c_p2_tilde, dtype=float))
-    dynamics = _decompose_dynamics(theta_p, r_p)
-    p, n_p1, n_p2 = dynamics["p"], dynamics["n_p1"], dynamics["n_p2"]
+    p, n_p1 = _dynamics_basis(theta_p, r_p)
+    n_p2 = p.shape[0] - n_p1
     if c_p2_tilde.shape[1] != n_p2:
         raise ValueError(
             f"c_p2_tilde must have n_p2 = {n_p2} columns for this dynamics pair, "
             f"got {c_p2_tilde.shape}")
     c_p = np.hstack([np.zeros((c_p2_tilde.shape[0], n_p1)), c_p2_tilde]) @ p.T
     plant = QuantumLinearSystem(theta=theta_p, r=r_p, c=c_p)
-    return plant, _decomposed(plant, dynamics, c_p2_tilde)
+    return plant, _decomposed(plant, p, n_p1, c_p2_tilde)

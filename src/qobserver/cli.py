@@ -200,10 +200,10 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
         raise ConfigError(f"grid ends at t = {times[-1]:g} (t_end = {cfg.t_end}, "
                           f"dt = {cfg.dt}): convergence evaluation needs t_end >= 10")
     plant, dec, obs = _design(cfg)
-    aug = assemble_augmented(plant, obs)
     try:
+        aug = assemble_augmented(plant, obs)
         record = propagate(aug, times)
-    except ValueError as exc:  # a step exponential that overflows doubles
+    except ValueError as exc:  # dynamics or a step exponential that overflow doubles
         raise ConfigError(str(exc)) from exc
     convergence = time_average_error(record, aug)
 

@@ -71,7 +71,7 @@ def numerical_rank(a: np.ndarray) -> int:
 
 def _rank_from_singular_values(s: np.ndarray, shape: tuple) -> int:
     """Rank from the descending singular values `s` of a `shape` matrix."""
-    return int(np.count_nonzero(s > max(shape) * (s[0] if s.size else 0.0) * RANK_TOL_SCALE))
+    return int(np.count_nonzero(s > (s[0] if s.size else 0.0) * (max(shape) * RANK_TOL_SCALE)))
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -154,7 +154,8 @@ def dynamics_from_hamiltonian(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     `theta` may be any skew block of a commutation matrix (it is not
     required to be in canonical form here); `r` must be symmetric to
-    within ``SYMMETRY_TOL``.
+    within ``SYMMETRY_TOL``.  Raises ``ValueError`` when A does not fit in
+    doubles.
     """
     theta = _as_matrix(theta, "theta")
     r = _as_matrix(r, "r")
@@ -164,7 +165,11 @@ def dynamics_from_hamiltonian(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: theta {theta.shape}, r {r.shape}")
     if r.size and np.abs(r - r.T).max() > SYMMETRY_TOL:
         raise ValueError("r must be symmetric to within 1e-12")
-    return 2.0 * theta @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = 2.0 * theta @ r
+    if not np.all(np.isfinite(a)):
+        raise ValueError("2 theta r overflows doubles")
+    return a
 
 
 @dataclass(frozen=True)

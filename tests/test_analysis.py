@@ -13,8 +13,10 @@ from qobserver import (
     plant_from_transformed_output,
     transformed_condition_check,
 )
+from qobserver.analysis import _pair_basis
 
 from conftest import random_valid_plant
+from oracles import pair_basis_reference
 
 
 def sorted_imag(mat):
@@ -170,6 +172,20 @@ class TestDecomposePlant:
         plant, dec = sixmode
         a_t = dec.p.T @ plant.a @ dec.p
         assert np.abs(a_t[dec.n_p1:, :]).max() <= 1e-9
+
+
+class TestPairBasis:
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 24, 50, 100, 150])
+    def test_matches_reference_and_realizes_canonical_form(self, n):
+        theta = make_commutation_matrix(n // 2)
+        assert np.array_equal(_pair_basis(theta), np.eye(n))
+        rng = np.random.default_rng(n)
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        t = u.T @ theta @ u
+        q = _pair_basis(t)
+        assert np.abs(q - pair_basis_reference(t)).max() <= 1e-13
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
+        assert np.abs(q.T @ t @ q - theta).max() <= 1e-13
 
 
 class TestTransformedConditionCheck:

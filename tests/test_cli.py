@@ -391,12 +391,13 @@ class TestCliCommands:
         assert_input_error(code, capsys)
 
     # "--dt 1e-300" and "--t-end 1e300" are finite, but their grids (about 1e302
-    # points) cannot be held; neither can the step exponentials of the last two
+    # points) cannot be held; neither can the step exponentials of "--omega 1e31"
+    # and "1e160", nor the dynamics 2 theta R of "1e308"
     @pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--t-end", "nan"),
                                             ("--dt", "nan"), ("--omega", "inf"),
                                             ("--tol", "inf"), ("--dt", "1e-300"),
                                             ("--t-end", "1e300"), ("--omega", "1e31"),
-                                            ("--omega", "1e160")])
+                                            ("--omega", "1e160"), ("--omega", "1e308")])
     def test_simulate_rejects_nonfinite_override(self, tmp_path, sixmode_path, capsys,
                                                  flag, value):
         code = main(["simulate", str(sixmode_path), str(tmp_path / "x"), flag, value])

@@ -1,5 +1,7 @@
 """Core model: commutation matrices, dynamics, structural condition checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,11 @@ class TestDynamicsFromHamiltonian:
         with pytest.raises(ValueError):
             dynamics_from_hamiltonian(J, [[0.0, 1.0], [0.0, 0.0]])
 
+    def test_rejects_overflow(self):
+        # 2 * 1e308 is beyond doubles; the caller gets an error, not a warning
+        with pytest.raises(ValueError, match="overflows"):
+            dynamics_from_hamiltonian(J, np.eye(2) * 1e308)
+
     def test_flow_preserves_commutation_structure(self):
         # A Theta + Theta A^T = 0 for any symmetric r
         rng = np.random.default_rng(11)
@@ -108,6 +115,12 @@ class TestNumericalRank:
     def test_near_rank_deficient(self):
         a = np.diag([1.0, 1e-3, 1e-14])
         assert numerical_rank(a) == 2
+
+    def test_huge_singular_values_do_not_overflow(self):
+        # the threshold max_dim * 1e-12 * sigma_max must be scaled last
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numerical_rank(np.diag([1e308, 1e300])) == 2
 
 
 class TestPlantConditions:

@@ -365,6 +365,25 @@ class TestTimeAverageError:
         assert report.decay_slope is None
         assert not report.passed
 
+    def test_decay_slope_equals_polyfit(self, sixmode_system, sixmode_record):
+        *_, aug = sixmode_system
+        rec = sixmode_record
+        errors = np.linalg.norm(rec.zo_avg - aug.zp_selector, axis=(1, 2))
+        window = (rec.times >= rec.t_end / 32) & (rec.times > 0)
+        fitted = np.polyfit(np.log(rec.times[window]), np.log(errors[window]), 1)[0]
+        slope = time_average_error(rec, aug).decay_slope
+        assert abs(slope - fitted) <= 1e-12 * abs(fitted)
+
+    def test_verdict_needs_no_record_sized_temporaries(self, sixmode_system, sixmode_record):
+        *_, aug = sixmode_system
+        tracemalloc.start()
+        try:
+            time_average_error(sixmode_record, aug)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sixmode_record.zo_avg.nbytes / 3
+
 
 class TestOdeOracle:
     def test_rotation_closed_form(self):
