@@ -9,7 +9,6 @@ re-ingesting a file reproduces the exact floating-point values.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -68,24 +67,16 @@ def write_trajectory_csv(path, times: np.ndarray, coeffs: np.ndarray, stream: st
 
 
 def write_matrices_csv(path, matrices: dict):
-    """Write named matrices in long form: matrix,row,col,value (0-based)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["matrix", "row", "col", "value"])
-        for name, mat in matrices.items():
-            mat = np.atleast_2d(np.asarray(mat))
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    writer.writerow([name, i, j, FLOAT_FMT % mat[i, j]])
+    """Write named matrices in long form: matrix,row,col,value (0-based), CRLF-ended."""
+    lines = ["matrix,row,col,value"] + [
+        f"{name},{i},{j},{FLOAT_FMT % v}" for name, mat in matrices.items()
+        for i, row in enumerate(np.atleast_2d(mat).tolist()) for j, v in enumerate(row)]
+    Path(path).write_text("\r\n".join(lines) + "\r\n", newline="")
 
 
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
-
-def _listify(a: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(a)]
-
 
 def _conditions_dict(report: ConditionReport) -> dict:
     doc = dataclasses.asdict(report)
@@ -97,11 +88,7 @@ def _decomposition_dict(dec: DecomposedPlant) -> dict:
     return {
         "n_p1": dec.n_p1,
         "n_p2": dec.n_p2,
-        "r_p11_eigenvalues": sorted(float(v) for v in np.linalg.eigvalsh(dec.r_p11)),
-        "theta11_eigenvalues_imag": sorted(
-            float(v) for v in np.linalg.eigvals(dec.theta11).imag),
-        "theta22_eigenvalues_imag": sorted(
-            float(v) for v in np.linalg.eigvals(dec.theta22).imag),
+        "r_p11_eigenvalues": np.linalg.eigvalsh(dec.r_p11).tolist(),  # ascending
         "transformed_condition_residual": transformed_condition_check(dec),
         "residuals": {k: float(v) for k, v in dec.residuals.items()},
     }
@@ -111,12 +98,12 @@ def _observer_dict(obs: ObserverDesign) -> dict:
     return {
         "n_o": obs.n_o,
         "consistency_residual": obs.consistency_residual,
-        "r_o": _listify(obs.r_o),
-        "c_o": _listify(obs.c_o),
-        "beta": _listify(obs.beta),
-        "r_c_tilde": _listify(obs.r_c_tilde),
-        "r_c": _listify(obs.r_c),
-        "theta_o": _listify(obs.theta_o),
+        "r_o": obs.r_o.tolist(),
+        "c_o": obs.c_o.tolist(),
+        "beta": obs.beta.tolist(),
+        "r_c_tilde": obs.r_c_tilde.tolist(),
+        "r_c": obs.r_c.tolist(),
+        "theta_o": obs.theta_o.tolist(),
     }
 
 

@@ -189,6 +189,4 @@ def build_plant(cfg: PlantConfig):
             dec = decompose_plant(plant)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if plant.m != cfg.m:
-        raise ConfigError(f"declared m = {cfg.m} but output selector has {plant.m} rows")
     return plant, dec

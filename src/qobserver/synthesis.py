@@ -117,6 +117,14 @@ class AugmentedSystem:
         return self.zp_selector.shape[0]
 
 
+def _checked(name: str, a, shape: tuple) -> np.ndarray:
+    """``a`` as a finite float matrix of ``shape``."""
+    a = _as_matrix(a, name)
+    if a.shape != shape:
+        raise PlantConditionError(f"{name} must be {shape[0]}x{shape[1]}, got {a.shape}")
+    return a
+
+
 def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
                         r_o: np.ndarray | None = None,
                         c_o: np.ndarray | None = None,
@@ -124,19 +132,22 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
                         condition_tol: float = CONDITION_TOL) -> ObserverDesign:
     """Construct a reduced-order observer for a decomposed plant.
 
-    Defaults produce ``R_o = omega * I``, ``C_o = [I, 0]`` and
-    ``beta = -R_o C_o^T (C_o C_o^T)^{-1}``, which satisfies the consistency
-    equation exactly for any ``omega > 0``.  Any of the three matrices may
-    be supplied instead; they are validated (``R_o`` symmetric positive
-    definite, ``beta`` full rank, consistency residual within 1e-10).
+    Defaults are ``R_o = omega * I``, ``C_o = [I, 0]`` and
+    ``beta = -R_o C_o^T (C_o C_o^T)^{-1}``, which solves the consistency
+    equation.  Any of the three matrices may be supplied instead.  Defaults
+    and supplied matrices pass the same checks: finite entries of the right
+    shape, ``R_o`` symmetric positive definite, ``C_o`` full row rank,
+    ``beta`` full column rank, consistency residual within 1e-10.
     The plant conditions judged against ``condition_tol`` are kept in ``conditions``.
 
     Raises
     ------
     PlantConditionError
         If the source plant fails any structural condition (with no constant
-        coordinates the bound ``2 m <= n_p2`` fails), or the supplied matrices
-        are inconsistent.
+        coordinates the bound ``2 m <= n_p2`` fails), or the observer
+        matrices fail a check.
+    ValueError
+        If an observer matrix (``omega * I`` included) has non-finite entries.
     """
     report = check_plant_conditions(dec.source, condition_tol, rank_cr=dec.n_p1)
     if not report.all_ok:
@@ -147,34 +158,17 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     m = dec.source.m
     n_o = _observer_order(m)
 
-    if r_o is None:
-        if not omega > 0:
-            raise PlantConditionError(f"omega must be positive, got {omega}")
-        r_o = omega * np.eye(n_o)
-    else:
-        r_o = _as_matrix(r_o, "r_o")
-        if r_o.shape != (n_o, n_o):
-            raise PlantConditionError(f"r_o must be {n_o}x{n_o}, got {r_o.shape}")
-        if np.abs(r_o - r_o.T).max() > SYMMETRY_TOL:
-            raise PlantConditionError("r_o must be symmetric")
+    r_o = _checked("r_o", np.diag(np.full(n_o, omega)) if r_o is None else r_o, (n_o, n_o))
+    if np.abs(r_o - r_o.T).max() > SYMMETRY_TOL:
+        raise PlantConditionError("r_o must be symmetric")
     if np.linalg.eigvalsh(r_o)[0] <= 0:
         raise PlantConditionError("r_o must be positive definite")
-
-    if c_o is None:
-        c_o = np.hstack([np.eye(m), np.zeros((m, n_o - m))])
-    else:
-        c_o = _as_matrix(c_o, "c_o")
-        if c_o.shape != (m, n_o):
-            raise PlantConditionError(f"c_o must be {m}x{n_o}, got {c_o.shape}")
-        if numerical_rank(c_o) != m:
-            raise PlantConditionError("c_o must have full row rank")
-
+    c_o = _checked("c_o", np.eye(m, n_o) if c_o is None else c_o, (m, n_o))
+    if numerical_rank(c_o) != m:
+        raise PlantConditionError("c_o must have full row rank")
     if beta is None:
         beta = -r_o @ c_o.T @ np.linalg.inv(c_o @ c_o.T)
-    else:
-        beta = _as_matrix(beta, "beta")
-        if beta.shape != (n_o, m):
-            raise PlantConditionError(f"beta must be {n_o}x{m}, got {beta.shape}")
+    beta = _checked("beta", beta, (n_o, m))
     if numerical_rank(beta) != m:
         raise PlantConditionError("beta must have full column rank")
 

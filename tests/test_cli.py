@@ -424,7 +424,8 @@ class TestCliCommands:
         ("observer", "surprise", 1.0),
         pytest.param("simulation", "dt", 10**400, id="simulation-dt-10**400"),
         (None, "r_p", ["1"] * 36), (None, "c_p2_tilde", [[1.0, 1.0], [1.0]]),
-        (None, "simulation", [200.0, 0.01]), (None, "format_version", True)])
+        (None, "simulation", [200.0, 0.01]), (None, "format_version", True),
+        (None, "m", 0), (None, "c_p2_tilde", [1.0] * 6)])
     def test_simulate_rejects_malformed_config(self, tmp_path, sixmode_path, capsys,
                                                section, key, value):
         doc = json.loads(sixmode_path.read_text())

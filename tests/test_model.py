@@ -62,6 +62,10 @@ class TestDynamicsFromHamiltonian:
         with pytest.raises(ValueError):
             dynamics_from_hamiltonian(J, [[0.0, 1.0], [0.0, 0.0]])
 
+    def test_nonsquare_theta_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            dynamics_from_hamiltonian(np.zeros((2, 3)), np.eye(2))
+
     def test_rejects_overflow(self):
         # 2 * 1e308 is beyond doubles; the caller gets an error, not a warning
         with pytest.raises(ValueError, match="overflows"):
@@ -104,10 +108,23 @@ class TestQuantumLinearSystem:
         with pytest.raises(ValueError):
             QuantumLinearSystem(make_commutation_matrix(2), np.zeros((4, 4)), np.eye(1, 3))
 
+    @pytest.mark.parametrize("theta,r,match", [
+        (J, [[np.nan, 0.0], [0.0, 0.0]], "non-finite"),
+        (J, np.zeros((1, 2, 2)), "2-D"),
+        (np.eye(3), np.zeros((3, 3)), "even dimension"),
+        ([[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2)), "skew-symmetric"),
+    ])
+    def test_rejects_malformed_matrices(self, theta, r, match):
+        with pytest.raises(ValueError, match=match):
+            QuantumLinearSystem(theta, r, np.eye(1, 2))
+
 
 class TestNumericalRank:
     def test_zero(self):
         assert numerical_rank(np.zeros((3, 6))) == 0
+
+    def test_empty(self):
+        assert numerical_rank(np.zeros((0, 3))) == 0
 
     def test_full(self):
         assert numerical_rank(np.eye(5)) == 5

@@ -95,6 +95,11 @@ class TestMatrixExponential:
         assert np.abs(a @ a).max() == 0.0  # series truncates after the linear term
         assert np.abs(matrix_exponential(a) - (np.eye(2) + a)).max() <= 1e-12
 
+    def test_nilpotent_absolute_value_is_exact(self):
+        # |A| is nilpotent too, so the backward-error estimate needs no squaring
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(matrix_exponential(a), np.eye(2) + a)
+
     def test_symmetric_cross_check(self):
         # independent route through the spectral decomposition
         rng = np.random.default_rng(61)
@@ -154,7 +159,7 @@ class TestTimeGrid:
         grid = time_grid(1.0, 0.25)
         np.testing.assert_allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    @pytest.mark.parametrize("t_end,dt", [(0.0, 0.1), (1.0, 0.0), (-1.0, 0.1)])
+    @pytest.mark.parametrize("t_end,dt", [(0.0, 0.1), (1.0, 0.0), (-1.0, 0.1), (1.0, 3.0)])
     def test_rejects_degenerate(self, t_end, dt):
         with pytest.raises(ValueError):
             time_grid(t_end, dt)

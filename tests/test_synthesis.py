@@ -103,6 +103,27 @@ class TestSynthesizeObserver:
         with pytest.raises(PlantConditionError):
             synthesize_observer(dec, r_o=np.eye(2), c_o=np.eye(2), beta=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"r_o": np.eye(3)}, "r_o must be 2x2"),
+        ({"r_o": [[1.0, 0.5], [0.0, 1.0]]}, "r_o must be symmetric"),
+        ({"omega": 0.0}, "positive"),
+        ({"omega": -1.0}, "positive"),
+        ({"c_o": np.eye(3, 2)}, "c_o must be 2x2"),
+        ({"c_o": [[1.0, 0.0], [1.0, 0.0]]}, "c_o must have full row rank"),
+        ({"beta": np.eye(3, 2)}, "beta must be 2x2"),
+    ])
+    def test_refuses_malformed_observer_matrices(self, sixmode, kwargs, match):
+        _, dec = sixmode
+        with pytest.raises(PlantConditionError, match=match):
+            synthesize_observer(dec, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"omega": np.nan}, {"omega": np.inf},
+                                        {"r_o": [[np.nan, 0.0], [0.0, 1.0]]}])
+    def test_refuses_nonfinite_observer_hamiltonian(self, sixmode, kwargs):
+        _, dec = sixmode
+        with pytest.raises(ValueError):
+            synthesize_observer(dec, **kwargs)
+
     def test_output_constancy_mechanism(self):
         # c_p2_tilde theta22 r_c_tilde = 0: the coupling cannot move the
         # estimated outputs
@@ -174,6 +195,12 @@ class TestAssembleAugmented:
         with pytest.raises(ValueError):
             assemble_augmented(other, obs)
 
+    def test_output_count_mismatch(self, sixmode_system):
+        plant, _, obs, _ = sixmode_system
+        one_output = QuantumLinearSystem(plant.theta, plant.r, plant.c[:1])
+        with pytest.raises(ValueError, match="observer estimates 2 outputs, plant has 1"):
+            assemble_augmented(one_output, obs)
+
 
 class TestPredictSteadyState:
     def test_sixmode_identity(self, sixmode_system):
@@ -185,6 +212,11 @@ class TestPredictSteadyState:
     def test_zero_input(self, sixmode_system):
         _, _, obs, _ = sixmode_system
         assert np.array_equal(predict_steady_state(obs, np.zeros(2)), np.zeros(2))
+
+    def test_rejects_wrong_length(self, sixmode_system):
+        _, _, obs, _ = sixmode_system
+        with pytest.raises(ValueError, match="length-2"):
+            predict_steady_state(obs, np.zeros(3))
 
     def test_output_recovery_for_random_designs(self, sixmode):
         # C_o applied to the steady state returns the input: consistency
