@@ -27,8 +27,8 @@ from .model import (
 from .simulation import (
     ConvergenceReport,
     TrajectoryRecord,
-    averaging_error_bound,
     matrix_exponential,
+    predicted_average_error,
     propagate,
     time_average_error,
     time_grid,
@@ -38,7 +38,6 @@ from .synthesis import (
     ObserverDesign,
     PlantConditionError,
     assemble_augmented,
-    predict_steady_state,
     synthesize_observer,
 )
 
@@ -62,13 +61,12 @@ __all__ = [
     "AugmentedSystem",
     "synthesize_observer",
     "assemble_augmented",
-    "predict_steady_state",
     "TrajectoryRecord",
     "ConvergenceReport",
     "matrix_exponential",
     "time_grid",
     "propagate",
     "time_average_error",
-    "averaging_error_bound",
+    "predicted_average_error",
     "__version__",
 ]

@@ -31,7 +31,7 @@ __all__ = [
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J.setflags(write=False)
 
-# Absolute element-wise tolerance for symmetry of Hamiltonian matrices.
+# Symmetry of Hamiltonian matrices: |A - A^T|_max relative to |A|_max.
 SYMMETRY_TOL = 1e-12
 # Absolute max-norm tolerance for the structural plant conditions.
 CONDITION_TOL = 1e-9
@@ -83,6 +83,11 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
+def _symmetric(a: np.ndarray) -> bool:
+    """``|A - A^T|_max <= SYMMETRY_TOL |A|_max``, so that rescaling A keeps the verdict."""
+    return not a.size or np.abs(a - a.T).max() <= SYMMETRY_TOL * np.abs(a).max()
+
+
 def _check_commutation(theta: np.ndarray, name: str = "theta") -> None:
     """Require an exactly canonical commutation matrix (block-J form)."""
     n = theta.shape[0]
@@ -120,8 +125,8 @@ class QuantumLinearSystem:
         n = theta.shape[0]
         if r.shape != (n, n):
             raise ValueError(f"r must be {n}x{n}, got {r.shape}")
-        if np.abs(r - r.T).max() > SYMMETRY_TOL:
-            raise ValueError("r must be symmetric to within 1e-12")
+        if not _symmetric(r):
+            raise ValueError("r must be symmetric to within 1e-12 of its largest entry")
         if c.shape[1] != n or c.shape[0] < 1:
             raise ValueError(f"c must have {n} columns and at least one row, got {c.shape}")
         for name, arr in (("theta", theta), ("r", r), ("c", c)):
@@ -154,8 +159,8 @@ def dynamics_from_hamiltonian(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     `theta` may be any skew block of a commutation matrix (it is not
     required to be in canonical form here); `r` must be symmetric to
-    within ``SYMMETRY_TOL``.  Raises ``ValueError`` when A does not fit in
-    doubles.
+    within ``SYMMETRY_TOL`` of its largest entry.  Raises ``ValueError``
+    when A does not fit in doubles.
     """
     theta = _as_matrix(theta, "theta")
     r = _as_matrix(r, "r")
@@ -163,8 +168,8 @@ def dynamics_from_hamiltonian(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise ValueError(f"theta must be square, got {theta.shape}")
     if r.shape != theta.shape:
         raise ValueError(f"dimension mismatch: theta {theta.shape}, r {r.shape}")
-    if r.size and np.abs(r - r.T).max() > SYMMETRY_TOL:
-        raise ValueError("r must be symmetric to within 1e-12")
+    if not _symmetric(r):
+        raise ValueError("r must be symmetric to within 1e-12 of its largest entry")
     with np.errstate(over="ignore", invalid="ignore"):
         a = 2.0 * theta @ r
     if not np.all(np.isfinite(a)):

@@ -4,8 +4,8 @@ The outputs of a closed quantum system are operator-valued, but their
 coefficients with respect to the initial-condition operators are plain
 matrices: ``zp_coeffs(t) = [C_p, 0] e^{A_a t}`` and similarly for the
 observer.  This module computes those coefficient trajectories, their
-running time averages, and rate diagnostics for the time-averaged
-convergence of observer outputs to plant outputs.  numpy is the only
+running time averages, the averaged error in closed form, and rate
+diagnostics of the convergence of observer to plant outputs.  numpy is the only
 numerical runtime: the matrix exponential is computed here by scaling and
 squaring.  The fixed-step RK4 reference that verifies the propagator lives
 in ``tests/oracles.py``.
@@ -26,7 +26,7 @@ __all__ = [
     "time_grid",
     "propagate",
     "time_average_error",
-    "averaging_error_bound",
+    "predicted_average_error",
     "DRIFT_TOL", "SLOPE_WINDOW", "MAX_RECORD_BYTES",
 ]
 
@@ -291,25 +291,33 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
                              decay_slope=decay_slope, passed=passed)
 
 
-def averaging_error_bound(obs: ObserverDesign, c_p: np.ndarray) -> float:
-    """Constant K such that the averaging error is bounded by K/T.
+def predicted_average_error(obs: ObserverDesign, c_p, times) -> np.ndarray:
+    """``|(1/T) integral_0^T zo dt - [C_p, 0]|_F`` at each T of ``times``, in closed form.
 
-    Derived from energy conservation of the observer error dynamics: the
-    flow ``e^{2 Theta_o R_o t}`` has spectral norm at most
-    ``sqrt(lmax(R_o)/lmin(R_o))``, so the time average of the oscillatory
-    part decays like 1/T with constant
-
-        (0.5 sqrt(lmax/lmin) + 0.5) * ||R_o^{-1} Theta_o^{-1}||
-
-    scaled by ``||C_o||`` and the norm of the initial coefficient offset
-    ``[R_o^{-1} beta C_p, I]``.  Norms are spectral; for an m-row error
-    matrix the Frobenius error exceeds this by at most sqrt(m).
+    The coupling acts on the observer only through the constant ``R_c^T x_p``,
+    so with ``A_o = 2 Theta_o R_o`` and ``X = [R_o^{-1} R_c^T, I]`` the error is
+    ``[D, 0] + C_o A_o^{-1} (e^{A_o T} - I) X / T``.  ``D = -C_o R_o^{-1} R_c^T - C_p``
+    is 0 for a consistent design and ``-C_p`` without coupling.  One ``eigh`` of
+    ``2i R_o^{1/2} Theta_o R_o^{1/2} = V diag(w) V^H`` gives the averaged flow
+    ``R_o^{-1/2} V diag(phi(w T)) V^H R_o^{1/2}``, ``phi(x) = (e^{-ix} - 1) / (-ix)``,
+    so the squared error is a Hermitian form in ``phi``: O(len(times) n_o) memory.
+    At T = 0, ``phi = 1`` gives ``|zo(0) - [C_p, 0]|_F``, as in ``TrajectoryRecord.zo_avg``.
     """
-    evals = np.linalg.eigvalsh(obs.r_o)
-    ratio = np.sqrt(evals[-1] / evals[0])
-    inv_part = np.linalg.norm(
-        np.linalg.solve(obs.r_o, np.linalg.inv(obs.theta_o)), 2)
-    offset = np.hstack([np.linalg.solve(obs.r_o, obs.beta @ np.asarray(c_p, float)),
-                        np.eye(obs.n_o)])
-    return float((0.5 * ratio + 0.5) * inv_part
-                 * np.linalg.norm(obs.c_o, 2) * np.linalg.norm(offset, 2))
+    times = _validate_grid(times)
+    c_p = np.asarray(c_p, dtype=float)
+    if c_p.shape != (obs.m, obs.r_c.shape[0]):
+        raise ValueError(f"c_p must be {obs.m}x{obs.r_c.shape[0]}, got {c_p.shape}")
+    lam, q = np.linalg.eigh(obs.r_o)
+    root, inv_root = (q * np.sqrt(lam)) @ q.T, (q / np.sqrt(lam)) @ q.T
+    w, v = np.linalg.eigh(2j * root @ obs.theta_o @ root)
+    left = obs.c_o @ inv_root @ v                               # C_o R_o^{-1/2} V
+    centre = inv_root @ obs.r_c.T                               # R_o^{1/2} R_o^{-1} R_c^T
+    right = v.conj().T @ np.hstack([centre, root])              # V^H R_o^{1/2} X
+    offset = -obs.c_o @ inv_root @ centre - c_p                 # D
+    h = np.sum(left * (offset @ right[:, :c_p.shape[1]].T), axis=0)
+    gram = (left.conj().T @ left) * (right.conj() @ right.T)
+    x = np.multiply.outer(times, w)
+    phi = np.exp(-0.5j * x) * np.sinc(x / (2.0 * np.pi))
+    squared = (np.sum(offset**2) + 2.0 * (phi @ h).real
+               + np.einsum("tj,tj->t", phi.conj(), phi @ gram.T).real)
+    return np.sqrt(np.maximum(squared, 0.0))

@@ -22,8 +22,8 @@ from .model import (
     CONDITION_TOL,
     ConditionReport,
     QuantumLinearSystem,
-    SYMMETRY_TOL,
     _as_matrix,
+    _symmetric,
     check_plant_conditions,
     dynamics_from_hamiltonian,
     make_commutation_matrix,
@@ -36,7 +36,6 @@ __all__ = [
     "AugmentedSystem",
     "synthesize_observer",
     "assemble_augmented",
-    "predict_steady_state",
     "EQ_CONSISTENCY_TOL",
 ]
 
@@ -159,8 +158,8 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     n_o = _observer_order(m)
 
     r_o = _checked("r_o", np.diag(np.full(n_o, omega)) if r_o is None else r_o, (n_o, n_o))
-    if np.abs(r_o - r_o.T).max() > SYMMETRY_TOL:
-        raise PlantConditionError("r_o must be symmetric")
+    if not _symmetric(r_o):
+        raise PlantConditionError("r_o must be symmetric to within 1e-12 of its largest entry")
     if np.linalg.eigvalsh(r_o)[0] <= 0:
         raise PlantConditionError("r_o must be positive definite")
     c_o = _checked("c_o", np.eye(m, n_o) if c_o is None else c_o, (m, n_o))
@@ -205,15 +204,3 @@ def assemble_augmented(plant: QuantumLinearSystem,
     return AugmentedSystem(theta_a=theta_a, r_a=r_a, a_a=a_a,
                            zp_selector=zp_selector, zo_selector=zo_selector)
 
-
-def predict_steady_state(obs: ObserverDesign, zp0: np.ndarray) -> np.ndarray:
-    """Centre of the observer oscillation for given plant output values.
-
-    Returns ``-R_o^{-1} beta zp0``; applying ``C_o`` recovers ``zp0`` by the
-    consistency equation, which is what makes the time-averaged observer
-    output converge to the plant output.
-    """
-    zp0 = np.asarray(zp0, dtype=float)
-    if zp0.shape != (obs.m,):
-        raise ValueError(f"zp0 must be a length-{obs.m} vector, got {zp0.shape}")
-    return -np.linalg.solve(obs.r_o, obs.beta @ zp0)

@@ -1,6 +1,7 @@
 """Reference implementations the tests check the library against."""
 
 import numpy as np
+import scipy.linalg
 
 # Commutation residual, relative to the propagator's squared norm, past which
 # the RK4 reference reports its step as unstable.
@@ -73,3 +74,27 @@ def pair_basis_reference(theta):
         v = v / np.linalg.norm(v)
         cols.extend([u, v])
     return np.column_stack(cols)
+
+
+def average_error_reference(obs, c_p, times):
+    """``|zo_avg(T) - [C_p, 0]|_F`` from Van Loan's block exponential.
+
+    The top-right block of ``expm([[A_o, I], [0, 0]] T)`` is
+    ``integral_0^T e^{A_o t} dt`` (Van Loan 1978, IEEE TAC 23(3)), taken with
+    ``scipy.linalg.expm`` for each T on its own, so only moderate
+    ``T ||A_o||`` keeps it accurate.  The error is then
+    ``[D, 0] + C_o (integral / T) X`` with ``X = [R_o^{-1} R_c^T, I]`` and
+    ``D = -C_o R_o^{-1} R_c^T - C_p``; at T = 0 the integral over T is I.
+    """
+    n_o = obs.n_o
+    centre = np.linalg.solve(obs.r_o, obs.r_c.T)
+    x = np.hstack([centre, np.eye(n_o)])
+    offset = np.hstack([-obs.c_o @ centre - c_p, np.zeros((obs.m, n_o))])
+    block = np.zeros((2 * n_o, 2 * n_o))
+    block[:n_o, :n_o] = 2.0 * obs.theta_o @ obs.r_o
+    block[:n_o, n_o:] = np.eye(n_o)
+    errors = []
+    for t in times:
+        mean = np.eye(n_o) if t == 0 else scipy.linalg.expm(block * t)[:n_o, n_o:] / t
+        errors.append(np.linalg.norm(offset + obs.c_o @ mean @ x))
+    return np.array(errors)

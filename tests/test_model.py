@@ -14,7 +14,7 @@ from qobserver import (
     numerical_rank,
 )
 
-from conftest import random_valid_plant
+from conftest import random_spd, random_valid_plant
 
 
 class TestMakeCommutationMatrix:
@@ -99,6 +99,21 @@ class TestQuantumLinearSystem:
         r[0, 1] = 1e-9
         with pytest.raises(ValueError, match="symmetric"):
             QuantumLinearSystem(make_commutation_matrix(1), r, np.eye(1, 2))
+
+    def test_symmetry_is_judged_relative_to_scale(self):
+        # round-off asymmetry of a large R is far above 1e-12 in absolute terms
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)))
+        rank_two = 1e5 * q[:, :2] @ np.diag([1.0, 2.0]) @ q[:, :2].T
+        rng = np.random.default_rng(5)
+        for r in [rank_two] + [1e5 * random_spd(rng, 8) for _ in range(5)]:
+            assert np.abs(r - r.T).max() > 1e-12
+            theta = make_commutation_matrix(r.shape[0] // 2)
+            QuantumLinearSystem(theta, r, np.eye(1, r.shape[0]))
+            dynamics_from_hamiltonian(theta, r)
+            asymmetric = r.copy()
+            asymmetric[0, 1] += 1e-11 * np.abs(r).max()
+            with pytest.raises(ValueError, match="symmetric"):
+                QuantumLinearSystem(theta, asymmetric, np.eye(1, r.shape[0]))
 
     def test_rejects_noncanonical_theta(self):
         with pytest.raises(ValueError):

@@ -11,17 +11,18 @@ from scipy.integrate import cumulative_trapezoid
 from qobserver import (
     AugmentedSystem,
     assemble_augmented,
-    averaging_error_bound,
     matrix_exponential,
+    predicted_average_error,
     propagate,
     simulation,
+    synthesize_observer,
     time_average_error,
     time_grid,
 )
 from qobserver.simulation import _average_errors
 
-from conftest import random_valid_system
-from oracles import ode_oracle
+from conftest import random_passive_plant, random_spd, random_valid_system
+from oracles import average_error_reference, ode_oracle
 
 
 def rotation(angle):
@@ -37,6 +38,35 @@ def single_mode_system(r=None):
         theta_a=theta, r_a=r, a_a=2.0 * theta @ r,
         zp_selector=np.eye(1, 2), zo_selector=np.eye(1, 2, k=1),
     )
+
+
+def trapezoid_bias_bound(obs, times):
+    """Bound on |trapezoid zo_avg(T) - exact zo_avg(T)|_F on a uniform grid.
+
+    ``zo^(k)(t) = C_o A_o^k e^{A_o t} X`` and ``R_o^{1/2} e^{A_o t} R_o^{-1/2}``
+    is orthogonal, so ``|zo^(k)|_F <= B_k = |C_o A_o^k R_o^{-1/2}|_2 |R_o^{1/2} X|_F``.
+    The trapezoid's Peano kernel bounds the averaged bias by ``h^2 B_2 / 12``;
+    Euler-Maclaurin bounds it by ``h^2 B_1 / (6 T) + h^4 B_4 / 720``.
+    """
+    h = times[1] - times[0]
+    lam, q = np.linalg.eigh(obs.r_o)
+    root, inv_root = (q * np.sqrt(lam)) @ q.T, (q / np.sqrt(lam)) @ q.T
+    a_o = 2.0 * obs.theta_o @ obs.r_o
+    sx = np.linalg.norm(np.hstack([inv_root @ obs.r_c.T, root]))
+    b = [np.linalg.norm(obs.c_o @ np.linalg.matrix_power(a_o, k) @ inv_root, 2) * sx
+         for k in range(5)]
+    with np.errstate(divide="ignore"):
+        return np.minimum(h**2 * b[2] / 12, h**2 * b[1] / (6 * times) + h**4 * b[4] / 720)
+
+
+def decoupled(obs):
+    """The design with its coupling Hamiltonian removed."""
+    return dataclasses.replace(obs, r_c=np.zeros_like(obs.r_c),
+                               r_c_tilde=np.zeros_like(obs.r_c_tilde))
+
+
+# Round-off of the propagated rows, 5e-10 over T = 200, on top of the bias.
+ROUNDOFF = 1e-9
 
 
 # 0, 0.1, ..., 1.0 then 1.25, ..., 3.0: two distinct step sizes
@@ -297,15 +327,15 @@ class TestTimeAverageError:
         assert report.final_error <= 0.02
 
     def test_sixmode_error_matches_closed_form(self, sixmode_system, sixmode_record):
-        # with R_o = I the averaging error is |sin T| / T times the norm of
-        # the initial offset [-C_p, I]
+        # the trapezoid average differs from the closed form by at most its
+        # bias: 1.05e-4 at the first grid point, 1.05e-5 for T >= 10
         plant, _, obs, aug = sixmode_system
-        offset = np.linalg.norm(np.hstack([-plant.c, np.eye(2)]))
+        times = sixmode_record.times
         errors = np.linalg.norm(sixmode_record.zo_avg - aug.zp_selector, axis=(1, 2))
-        for t in (10.0, 50.0, 200.0):
-            k = int(round(t / 0.01))
-            predicted = abs(np.sin(t)) / t * offset
-            assert abs(errors[k] - predicted) <= 1e-4
+        predicted = predicted_average_error(obs, plant.c, times)
+        bound = trapezoid_bias_bound(obs, times)
+        assert np.all(np.abs(errors - predicted) <= bound + ROUNDOFF)
+        assert bound.max() <= 2e-4 and bound[times >= 10].max() <= 2e-5
 
     def test_error_norms_are_blocked_without_record_sized_temporaries(
             self, sixmode_system, sixmode_record):
@@ -322,27 +352,38 @@ class TestTimeAverageError:
         assert peak < zo_avg.nbytes / 2
 
     def test_bounded_by_averaging_constant(self, sixmode_system, sixmode_record):
+        # K = sup_{T >= 10} T * prediction is sqrt(m) times the spectral
+        # averaging constant, sqrt(10) on the demo
         plant, _, obs, aug = sixmode_system
-        k_const = averaging_error_bound(obs, plant.c)
+        times = sixmode_record.times
+        mask = times >= 10.0
+        k_const = (times * predicted_average_error(obs, plant.c, times))[mask].max()
+        assert abs(k_const - np.sqrt(10.0)) <= 1e-6
         errors = np.linalg.norm(sixmode_record.zo_avg - aug.zp_selector, axis=(1, 2))
-        mask = sixmode_record.times >= 10.0
-        assert np.all(errors[mask] <= 2.0 * k_const / sixmode_record.times[mask])
+        bias = trapezoid_bias_bound(obs, times)
+        assert np.all(errors[mask] <= k_const / times[mask] + bias[mask] + ROUNDOFF)
 
     def test_bound_holds_for_random_systems(self):
+        # the simulated error stays within the trapezoid's bias of the closed
+        # form on random designs (m = 1 to 4, R_o random positive definite),
+        # passive plants, and each of them without coupling
         rng = np.random.default_rng(71)
-        for _ in range(5):
-            plant, _, obs, aug = random_valid_system(rng)
-            record = propagate(aug, time_grid(50.0, 0.01))
-            k_const = averaging_error_bound(obs, plant.c)
-            errors = np.linalg.norm(record.zo_avg - aug.zp_selector, axis=(1, 2))
-            mask = record.times >= 10.0
-            assert np.all(errors[mask] <= 2.0 * k_const / record.times[mask])
+        designs = [random_valid_system(rng, n_modes=5, m=m)[::2] for m in (1, 2, 3, 4)]
+        for n_modes, rank, m in ((3, 1, 1), (4, 2, 2), (5, 1, 3)):
+            plant, dec = random_passive_plant(rng, n_modes, rank, m)
+            designs.append((plant, synthesize_observer(dec, r_o=random_spd(rng, m + m % 2))))
+        designs += [(plant, decoupled(obs)) for plant, obs in designs]
+        times = time_grid(50.0, 0.01)
+        for plant, obs in designs:
+            aug = assemble_augmented(plant, obs)
+            errors = np.linalg.norm(propagate(aug, times).zo_avg - aug.zp_selector, axis=(1, 2))
+            predicted = predicted_average_error(obs, plant.c, times)
+            assert np.all(np.abs(errors - predicted)
+                          <= trapezoid_bias_bound(obs, times) + ROUNDOFF)
 
     def test_decoupled_fails_with_full_target_error(self, sixmode_system):
         plant, dec, obs, _ = sixmode_system
-        decoupled = dataclasses.replace(obs, r_c=np.zeros_like(obs.r_c),
-                                        r_c_tilde=np.zeros_like(obs.r_c_tilde))
-        aug = assemble_augmented(plant, decoupled)
+        aug = assemble_augmented(plant, decoupled(obs))
         record = propagate(aug, time_grid(50.0, 0.01))
         report = time_average_error(record, aug)
         assert not report.passed
@@ -388,6 +429,46 @@ class TestTimeAverageError:
         finally:
             tracemalloc.stop()
         assert peak < sixmode_record.zo_avg.nbytes / 3
+
+
+class TestPredictedAverageError:
+    def test_sixmode_is_sqrt10_sinc(self, sixmode_system, sixmode_record):
+        # R_o = I rotates by 2t, and |[-C_p, I]|_F = sqrt(10)
+        plant, _, obs, _ = sixmode_system
+        times = sixmode_record.times
+        predicted = predicted_average_error(obs, plant.c, times)
+        assert np.abs(predicted - np.sqrt(10.0) * np.abs(np.sinc(times / np.pi))).max() <= 1e-12
+
+    def test_matches_van_loan_integral(self, sixmode_system):
+        plant, _, obs, _ = sixmode_system
+        rng = np.random.default_rng(73)
+        designs = [(plant, obs)] + [random_valid_system(rng, n_modes=5, m=m)[::2]
+                                    for m in (1, 2, 3, 4)]
+        designs += [(plant, decoupled(obs)) for plant, obs in designs]
+        times = time_grid(10.0, 0.01)
+        for plant, obs in designs:
+            reference = average_error_reference(obs, plant.c, times)
+            predicted = predicted_average_error(obs, plant.c, times)
+            # the Hermitian form's terms are of the size of the curve's
+            # largest value, so round-off is relative to that value
+            assert np.abs(predicted - reference).max() <= 1e-12 * reference.max()
+
+    def test_offset_vanishes_for_consistent_designs(self, sixmode):
+        # -C_o R_o^-1 beta = I makes the error decay like 1/T; without the
+        # coupling it tends to |C_p|_F instead
+        plant, dec = sixmode
+        rng = np.random.default_rng(41)
+        times = np.array([0.0, 1e9])
+        for _ in range(5):
+            obs = synthesize_observer(dec, r_o=random_spd(rng, 2))
+            assert predicted_average_error(obs, plant.c, times)[1] <= 1e-8
+            limit = predicted_average_error(decoupled(obs), plant.c, times)[1]
+            assert abs(limit - np.linalg.norm(plant.c)) <= 1e-8
+
+    def test_rejects_wrong_output_shape(self, sixmode_system):
+        plant, _, obs, _ = sixmode_system
+        with pytest.raises(ValueError, match="c_p must be 2x6"):
+            predicted_average_error(obs, plant.c[:, :4], [0.0, 1.0])
 
 
 class TestOdeOracle:

@@ -9,15 +9,15 @@ from qobserver import (
     PlantConditionError,
     QuantumLinearSystem,
     assemble_augmented,
+    check_plant_conditions,
     decompose_plant,
     make_commutation_matrix,
     matrix_exponential,
     plant_from_transformed_output,
-    predict_steady_state,
     synthesize_observer,
 )
 
-from conftest import random_spd, random_valid_system
+from conftest import random_passive_plant, random_spd, random_valid_plant, random_valid_system
 
 
 def odd_m_plant():
@@ -102,6 +102,13 @@ class TestSynthesizeObserver:
         _, dec = sixmode
         with pytest.raises(PlantConditionError):
             synthesize_observer(dec, r_o=np.eye(2), c_o=np.eye(2), beta=np.zeros((2, 2)))
+
+    def test_accepts_rescaled_r_o(self):
+        # symmetry of R_o is judged relative to its largest entry
+        _, dec = random_valid_plant(np.random.default_rng(7), n_modes=5, m=4)
+        r_o = 1e5 * random_spd(np.random.default_rng(0), 4)
+        assert np.abs(r_o - r_o.T).max() > 1e-12
+        assert np.array_equal(synthesize_observer(dec, r_o=r_o).r_o, r_o)
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"r_o": np.eye(3)}, "r_o must be 2x2"),
@@ -202,32 +209,18 @@ class TestAssembleAugmented:
             assemble_augmented(one_output, obs)
 
 
-class TestPredictSteadyState:
-    def test_sixmode_identity(self, sixmode_system):
-        _, _, obs, _ = sixmode_system
-        x_bar = predict_steady_state(obs, np.array([1.0, 0.0]))
-        assert np.array_equal(x_bar, [1.0, 0.0])
-        assert np.array_equal(obs.c_o @ x_bar, [1.0, 0.0])
-
-    def test_zero_input(self, sixmode_system):
-        _, _, obs, _ = sixmode_system
-        assert np.array_equal(predict_steady_state(obs, np.zeros(2)), np.zeros(2))
-
-    def test_rejects_wrong_length(self, sixmode_system):
-        _, _, obs, _ = sixmode_system
-        with pytest.raises(ValueError, match="length-2"):
-            predict_steady_state(obs, np.zeros(3))
-
-    def test_output_recovery_for_random_designs(self, sixmode):
-        # C_o applied to the steady state returns the input: consistency
-        _, dec = sixmode
-        rng = np.random.default_rng(41)
-        for _ in range(5):
-            obs = synthesize_observer(dec, r_o=random_spd(rng, 2))
-            for _ in range(20):
-                z = rng.normal(size=2)
-                np.testing.assert_allclose(obs.c_o @ predict_steady_state(obs, z), z,
-                                           atol=1e-10)
+class TestPassivePlants:
+    @pytest.mark.parametrize("n_modes,rank,m", [(2, 1, 1), (3, 1, 2), (4, 1, 3), (5, 1, 4),
+                                                (5, 2, 3), (6, 3, 2)])
+    def test_reduced_order_observer(self, n_modes, rank, m):
+        # H = a^dagger M a: R commutes with Theta, so rank [R, Theta R] is
+        # rank R = 2 rank M, and the order is m (even) or m + 1 (odd)
+        rng = np.random.default_rng(1000 * n_modes + 10 * rank + m)
+        plant, dec = random_passive_plant(rng, n_modes, rank, m)
+        assert np.array_equal(plant.theta @ plant.r, plant.r @ plant.theta)
+        assert dec.n_p1 == 2 * rank
+        assert check_plant_conditions(plant).all_ok
+        assert synthesize_observer(dec).n_o == m + m % 2
 
 
 class TestObserverFlowBounds:
