@@ -1,7 +1,9 @@
 """Command-line front end: analyze, synthesize, simulate, demo.
 
 Exit codes: 0 all checks passed, 1 a structural or convergence check
-failed, 2 input error (unreadable/malformed configuration, bad arguments).
+failed (``PlantConditionError`` included), 2 any other refused input: a
+``ValueError`` or ``OSError`` from any layer.  ``main`` alone maps errors
+to these codes.
 All numeric output is written with 17 significant digits so that
 re-ingesting a file reproduces the exact floating-point values.
 """
@@ -187,11 +189,8 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
         raise ConfigError(f"grid ends at t = {times[-1]:g} (t_end = {cfg.t_end}, "
                           f"dt = {cfg.dt}): convergence evaluation needs t_end >= 10")
     plant, dec, obs = _design(cfg)
-    try:
-        aug = assemble_augmented(plant, obs)
-        record = propagate(aug, times)
-    except ValueError as exc:  # dynamics or a step exponential that overflow doubles
-        raise ConfigError(str(exc)) from exc
+    aug = assemble_augmented(plant, obs)
+    record = propagate(aug, times)
     convergence = time_average_error(record, aug)
 
     out_dir = Path(out_dir)
@@ -304,12 +303,12 @@ def main(argv=None) -> int:
             report = cmd_simulate(args.config, args.out_dir, **overrides)
         else:
             report = cmd_demo(args.out_dir)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PlantConditionError as exc:
+    except PlantConditionError as exc:  # a ValueError too, so it is caught first
         print(f"synthesis refused: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:  # ConfigError and LinAlgError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.passed else 1
 
 

@@ -178,15 +178,11 @@ def build_plant(cfg: PlantConfig):
 
     Returns ``(plant, dec)``.  When the output is given as ``c_p2_tilde``
     the matrix is used verbatim in the decomposition (no round trip through
-    original coordinates).
+    original coordinates).  An invalid plant raises the library's own
+    ``ValueError``, unchanged.
     """
     theta = make_commutation_matrix(cfg.n_p // 2)
-    try:
-        if cfg.c_p2_tilde is not None:
-            plant, dec = plant_from_transformed_output(theta, cfg.r_p, cfg.c_p2_tilde)
-        else:
-            plant = QuantumLinearSystem(theta=theta, r=cfg.r_p, c=cfg.c_p)
-            dec = decompose_plant(plant)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return plant, dec
+    if cfg.c_p2_tilde is not None:
+        return plant_from_transformed_output(theta, cfg.r_p, cfg.c_p2_tilde)
+    plant = QuantumLinearSystem(theta=theta, r=cfg.r_p, c=cfg.c_p)
+    return plant, decompose_plant(plant)

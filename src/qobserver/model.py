@@ -140,10 +140,6 @@ class QuantumLinearSystem:
         return self.theta.shape[0]
 
     @property
-    def n_modes(self) -> int:
-        return self.n // 2
-
-    @property
     def m(self) -> int:
         """Number of output variables."""
         return self.c.shape[0]

@@ -132,11 +132,12 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     """Construct a reduced-order observer for a decomposed plant.
 
     Defaults are ``R_o = omega * I``, ``C_o = [I, 0]`` and
-    ``beta = -R_o C_o^T (C_o C_o^T)^{-1}``, which solves the consistency
-    equation.  Any of the three matrices may be supplied instead.  Defaults
-    and supplied matrices pass the same checks: finite entries of the right
-    shape, ``R_o`` symmetric positive definite, ``C_o`` full row rank,
-    ``beta`` full column rank, consistency residual within 1e-10.
+    ``beta = -R_o C_o^+`` (the pseudoinverse), which solves the consistency
+    equation.  Any of the three matrices may be supplied instead; ``omega``
+    only scales the default ``R_o``.  Defaults and supplied matrices pass the
+    same checks: finite entries of the right shape, ``R_o`` symmetric positive
+    definite, ``C_o`` full row rank, ``beta`` full column rank, consistency
+    residual within 1e-10.
     The plant conditions judged against ``condition_tol`` are kept in ``conditions``.
 
     Raises
@@ -146,8 +147,11 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
         coordinates the bound ``2 m <= n_p2`` fails), or the observer
         matrices fail a check.
     ValueError
-        If an observer matrix (``omega * I`` included) has non-finite entries.
+        If an observer matrix (``omega * I`` included) has non-finite entries,
+        or ``r_o`` is given together with an ``omega`` other than 1.
     """
+    if r_o is not None and omega != 1.0:
+        raise ValueError(f"omega = {omega:g} scales the default r_o only; r_o is given")
     report = check_plant_conditions(dec.source, condition_tol, rank_cr=dec.n_p1)
     if not report.all_ok:
         raise PlantConditionError(
@@ -166,7 +170,8 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     if numerical_rank(c_o) != m:
         raise PlantConditionError("c_o must have full row rank")
     if beta is None:
-        beta = -r_o @ c_o.T @ np.linalg.inv(c_o @ c_o.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # _checked refuses non-finite
+            beta = -r_o @ np.linalg.pinv(c_o)
     beta = _checked("beta", beta, (n_o, m))
     if numerical_rank(beta) != m:
         raise PlantConditionError("beta must have full column rank")

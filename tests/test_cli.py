@@ -31,6 +31,7 @@ from qobserver.config import (
     save_config,
 )
 from qobserver.demo import sixmode_config
+from qobserver.synthesis import EQ_CONSISTENCY_TOL
 
 from conftest import random_valid_plant
 
@@ -71,7 +72,32 @@ def assert_input_error(code, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+# (section, key, value) changes that make the six-mode config an input error
+MALFORMED_CONFIGS = [
+    ("simulation", "zero_coupling", "false"), ("simulation", "dtt", 0.5),
+    (None, "n_p", 6.5), (None, "m", True), (None, "tol", True),
+    ("simulation", "t_end", "200"),
+    ("observer", "surprise", 1.0),
+    pytest.param("simulation", "dt", 10**400, id="simulation-dt-10**400"),
+    (None, "r_p", ["1"] * 36), (None, "c_p2_tilde", [[1.0, 1.0], [1.0]]),
+    (None, "simulation", [200.0, 0.01]), (None, "format_version", True),
+    (None, "m", 0), (None, "c_p2_tilde", [1.0] * 6),
+    # the default gain -R_o C_o^+ = -2e308 I overflows
+    (None, "observer", {"r_o": [1e308, 0, 0, 1e308], "c_o": [0.5, 0, 0, 0.5]}),
+    # omega scales the default R_o only
+    (None, "observer", {"omega": 5.0, "r_o": [2, 0, 0, 2]})]
+
+
+def write_changed_config(sixmode_path, tmp_path, section, key, value) -> str:
+    """The six-mode config with ``key`` of ``section`` (None: the top level) set to ``value``."""
+    doc = json.loads(sixmode_path.read_text())
+    (doc.setdefault(section, {}) if section else doc)[key] = value
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture
@@ -410,30 +436,50 @@ class TestCliCommands:
         (None, "tol", np.inf)])
     def test_simulate_rejects_nonfinite_config(self, tmp_path, sixmode_path, capsys,
                                                section, key, value):
-        doc = json.loads(sixmode_path.read_text())
-        (doc.setdefault(section, {}) if section else doc)[key] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))  # writes Infinity and NaN
-        code = main(["simulate", str(path), str(tmp_path / "x")])
+        path = write_changed_config(sixmode_path, tmp_path, section, key, value)  # Infinity, NaN
+        code = main(["simulate", path, str(tmp_path / "x")])
         assert_input_error(code, capsys)
 
-    @pytest.mark.parametrize("section,key,value", [
-        ("simulation", "zero_coupling", "false"), ("simulation", "dtt", 0.5),
-        (None, "n_p", 6.5), (None, "m", True), (None, "tol", True),
-        ("simulation", "t_end", "200"),
-        ("observer", "surprise", 1.0),
-        pytest.param("simulation", "dt", 10**400, id="simulation-dt-10**400"),
-        (None, "r_p", ["1"] * 36), (None, "c_p2_tilde", [[1.0, 1.0], [1.0]]),
-        (None, "simulation", [200.0, 0.01]), (None, "format_version", True),
-        (None, "m", 0), (None, "c_p2_tilde", [1.0] * 6)])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("section,key,value", MALFORMED_CONFIGS)
     def test_simulate_rejects_malformed_config(self, tmp_path, sixmode_path, capsys,
                                                section, key, value):
-        doc = json.loads(sixmode_path.read_text())
-        (doc.setdefault(section, {}) if section else doc)[key] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        code = main(["simulate", str(path), str(tmp_path / "x")])
+        path = write_changed_config(sixmode_path, tmp_path, section, key, value)
+        code = main(["simulate", path, str(tmp_path / "x")])
         assert_input_error(code, capsys)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("section,key,value", MALFORMED_CONFIGS)
+    def test_synthesize_rejects_malformed_config(self, tmp_path, sixmode_path, capsys,
+                                                 section, key, value):
+        path = write_changed_config(sixmode_path, tmp_path, section, key, value)
+        code = main(["synthesize", path, str(tmp_path / "obs.csv")])
+        assert_input_error(code, capsys)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_output_selector(self, tmp_path, sixmode_path, capsys):
+        # C_o = 1e-300 I has full rank; its Gram matrix underflows to zero
+        path = write_changed_config(sixmode_path, tmp_path, "observer", "c_o",
+                                    [1e-300, 0.0, 0.0, 1e-300])
+        report_path = tmp_path / "report.json"
+        code = main(["synthesize", path, str(tmp_path / "obs.csv"),
+                     "--report", str(report_path)])
+        assert code == 0
+        doc = json.loads(report_path.read_text())
+        assert doc["observer"]["consistency_residual"] <= EQ_CONSISTENCY_TOL
+        capsys.readouterr()
+        # beta = -1e300 I: the coupled dynamics are beyond the exponential's range
+        code = main(["simulate", path, str(tmp_path / "x")])
+        assert_input_error(code, capsys)
+
+    def test_omega_override_conflicts_with_given_r_o(self, tmp_path, sixmode_path, capsys):
+        path = write_changed_config(sixmode_path, tmp_path, "observer", "r_o",
+                                    [2.0, 0.0, 0.0, 2.0])
+        out = str(tmp_path / "obs.csv")
+        assert main(["synthesize", path, out, "--omega", "1"]) == 0
+        assert main(["analyze", path]) == 0
+        capsys.readouterr()
+        assert_input_error(main(["synthesize", path, out, "--omega", "7"]), capsys)
 
     def test_simulate_reports_evaluated_grid_end(self, tmp_path, sixmode_path, capsys):
         # t_end / dt = 20.8 rounds to 21 steps of 0.5

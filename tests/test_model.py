@@ -86,7 +86,7 @@ class TestDynamicsFromHamiltonian:
 class TestQuantumLinearSystem:
     def test_valid_construction(self):
         plant = QuantumLinearSystem(make_commutation_matrix(2), np.eye(4), np.eye(1, 4))
-        assert plant.n == 4 and plant.m == 1 and plant.n_modes == 2
+        assert plant.n == 4 and plant.m == 1
         assert np.array_equal(plant.a, 2 * plant.theta)
 
     def test_arrays_are_read_only(self):

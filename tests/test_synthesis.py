@@ -16,6 +16,7 @@ from qobserver import (
     plant_from_transformed_output,
     synthesize_observer,
 )
+from qobserver.synthesis import EQ_CONSISTENCY_TOL
 
 from conftest import random_passive_plant, random_spd, random_valid_plant, random_valid_system
 
@@ -124,12 +125,31 @@ class TestSynthesizeObserver:
         with pytest.raises(PlantConditionError, match=match):
             synthesize_observer(dec, **kwargs)
 
+    # the last case is finite, but its default gain -R_o C_o^+ overflows
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kwargs", [{"omega": np.nan}, {"omega": np.inf},
-                                        {"r_o": [[np.nan, 0.0], [0.0, 1.0]]}])
+                                        {"r_o": [[np.nan, 0.0], [0.0, 1.0]]},
+                                        {"r_o": 1e308 * np.eye(2), "c_o": 0.5 * np.eye(2)}])
     def test_refuses_nonfinite_observer_hamiltonian(self, sixmode, kwargs):
         _, dec = sixmode
         with pytest.raises(ValueError):
             synthesize_observer(dec, **kwargs)
+
+    def test_omega_only_scales_the_default_hamiltonian(self, sixmode):
+        _, dec = sixmode
+        r_o = 2.0 * np.eye(2)
+        assert np.array_equal(synthesize_observer(dec, omega=1.0, r_o=r_o).r_o, r_o)
+        with pytest.raises(ValueError, match="omega") as info:
+            synthesize_observer(dec, omega=7.0, r_o=r_o)
+        assert not isinstance(info.value, PlantConditionError)
+
+    @pytest.mark.filterwarnings("error")
+    def test_default_gain_of_tiny_output_selector(self, sixmode):
+        # C_o C_o^T underflows to zero; the pseudoinverse needs no Gram matrix
+        _, dec = sixmode
+        obs = synthesize_observer(dec, c_o=1e-300 * np.eye(2))
+        assert np.allclose(obs.beta, -1e300 * np.eye(2), rtol=1e-15, atol=0)
+        assert obs.consistency_residual <= EQ_CONSISTENCY_TOL
 
     def test_output_constancy_mechanism(self):
         # c_p2_tilde theta22 r_c_tilde = 0: the coupling cannot move the
