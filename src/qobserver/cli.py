@@ -22,7 +22,7 @@ from .analysis import DecomposedPlant, transformed_condition_check
 from .config import ConfigError, PlantConfig, build_plant, load_config
 from .demo import sixmode_config
 from .model import ConditionReport, check_plant_conditions
-from .simulation import (DRIFT_TOL, MAX_RECORD_BYTES, SLOPE_WINDOW, propagate,
+from .simulation import (DRIFT_TOL, SLOPE_WINDOW, _check_record, propagate,
                          time_average_error, time_grid)
 from .synthesis import (
     ObserverDesign,
@@ -131,9 +131,6 @@ def _design(cfg: PlantConfig):
     plant, dec = build_plant(cfg)
     obs = synthesize_observer(dec, omega=cfg.omega, r_o=cfg.r_o,
                               c_o=cfg.c_o, beta=cfg.beta, condition_tol=cfg.tol)
-    if cfg.zero_coupling:
-        obs = dataclasses.replace(obs, r_c=np.zeros_like(obs.r_c),
-                                  r_c_tilde=np.zeros_like(obs.r_c_tilde))
     return plant, dec, obs
 
 
@@ -180,15 +177,16 @@ def cmd_simulate(config_path, out_dir, **overrides) -> RunReport:
 
 
 def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
-    points = cfg.t_end / cfg.dt + 1
-    if not 24 * points * cfg.m * (cfg.n_p + _observer_order(cfg.m)) <= MAX_RECORD_BYTES:
-        raise ConfigError(f"grid of {points:.3g} points (t_end = {cfg.t_end}, dt = {cfg.dt}): "
-                          f"its record would exceed {MAX_RECORD_BYTES / 2**30:g} GiB")
+    # judged before time_grid allocates the times
+    _check_record(cfg.t_end / cfg.dt + 1, cfg.m, cfg.n_p + _observer_order(cfg.m))
     times = time_grid(cfg.t_end, cfg.dt)
     if times[-1] < 10:
         raise ConfigError(f"grid ends at t = {times[-1]:g} (t_end = {cfg.t_end}, "
                           f"dt = {cfg.dt}): convergence evaluation needs t_end >= 10")
     plant, dec, obs = _design(cfg)
+    if cfg.zero_coupling:
+        obs = dataclasses.replace(obs, r_c=np.zeros_like(obs.r_c),
+                                  r_c_tilde=np.zeros_like(obs.r_c_tilde))
     aug = assemble_augmented(plant, obs)
     record = propagate(aug, times)
     convergence = time_average_error(record, aug)

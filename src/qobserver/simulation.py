@@ -33,31 +33,22 @@ __all__ = [
 # Convergence verdict: time averages decay like 1/T.
 DRIFT_TOL = 1e-6
 SLOPE_WINDOW = (-1.3, -0.7)
-# Largest array a grid may imply: its own times, or simulate's record of
-# zp, zo and zo_avg, 3 m (n_p + n_o) doubles per grid point.
+# Largest array a grid may imply: its own times, or the record of zp, zo
+# and zo_avg that propagate allocates, 3 m (n_p + n_o) doubles per point.
 MAX_RECORD_BYTES = 2**30
 
 
-# Pade coefficients b_0..b_m of the diagonal approximant r_m (Higham 2005).
-_PADE = {
-    3: (120., 60., 12., 1.),
-    5: (30240., 15120., 3360., 420., 30., 1.),
-    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
-    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
-        2162160., 110880., 3960., 90., 1.),
-    13: (64764752532480000., 32382376266240000., 7771770303897600.,
-         1187353796428800., 129060195264000., 10559470521600.,
-         670442572800., 33522128640., 1323241920., 40840800., 960960.,
-         16380., 182., 1.),
-}
-# theta_m: r_m has unit-roundoff backward error while max ||A^k||^(1/k) <= theta_m
-# (theta_3 .. theta_9 of Higham 2005, theta_13 of Al-Mohy & Higham 2009).
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-          7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 4.25}
-# 1/|c_{2m+1}|, the leading coefficient of r_m's backward error series.
-_ELL_C = {3: 100800., 5: 10059033600., 7: 4487938430976000.,
-          9: 5914384781877411840000., 13: 113250775606021113483283660800000000.}
-# Above this 1-norm the powers up to A^10 that pick the degree could overflow.
+# Pade coefficients b_0..b_13 of the diagonal approximant r_13 (Higham 2005),
+# divided by b_0: the linear term is then exactly 1/2.
+_PADE = tuple(b / 64764752532480000. for b in (
+    64764752532480000., 32382376266240000., 7771770303897600., 1187353796428800.,
+    129060195264000., 10559470521600., 670442572800., 33522128640., 1323241920.,
+    40840800., 960960., 16380., 182., 1.))
+# r_13 has unit-roundoff backward error while max ||A^k||^(1/k) <= theta_13
+# (Al-Mohy & Higham 2009); 1/|c_27| leads its backward error series.
+_THETA = 4.25
+_ELL_C = 113250775606021113483283660800000000.
+# Above this 1-norm the powers up to A^10 that pick the scaling could overflow.
 _MAX_NORM = 2.0 ** 100
 
 
@@ -65,52 +56,37 @@ def _onenorm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def _ell(a: np.ndarray, m: int) -> int:
-    """Extra squarings that keep r_m's backward error at unit roundoff.
+def _ell(a: np.ndarray) -> int:
+    """Extra squarings that keep r_13's backward error at unit roundoff.
 
-    Al-Mohy & Higham 2009, eq. (5.1), with the 1-norm of |A|^(2m+1) taken
-    exactly as 1^T |A|^(2m+1) on |A| / ||A||_1, which cannot overflow.
+    Al-Mohy & Higham 2009, eq. (5.1), with the 1-norm of |A|^27 taken
+    exactly as 1^T |A|^27 on |A| / ||A||_1, which cannot overflow.
     """
     norm = _onenorm(a)
     if norm == 0.0:
         return 0
     v = np.ones(a.shape[0])
     b = np.abs(a) / norm
-    for _ in range(2 * m + 1):
+    for _ in range(27):
         v = v @ b
     if v.max() == 0.0:
         return 0
-    log2_alpha = 2 * m * np.log2(norm) + np.log2(v.max()) - np.log2(_ELL_C[m])
-    return max(int(np.ceil((log2_alpha + 53) / (2 * m))), 0)
-
-
-def _pade_degree(a: np.ndarray, evens: list) -> tuple[int, int]:
-    """Pade degree m and squarings s for e^a (Al-Mohy & Higham 2009, Alg. 6.1).
-
-    ``evens`` holds I, A^2, A^4, A^6 and A^8; every norm is exact.
-    """
-    d4, d6, d8 = (_onenorm(evens[k]) ** (1 / (2 * k)) for k in (2, 3, 4))
-    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
-        if eta <= _THETA[m] and _ell(a, m) == 0:
-            return m, 0
-    d10 = _onenorm(evens[2] @ evens[3]) ** 0.1
-    eta = min(max(d6, d8), max(d8, d10))
-    s = max(int(np.ceil(np.log2(eta / _THETA[13]))), 0) if eta > 0 else 0
-    return 13, s + _ell(a * 2.0 ** -s, 13)
+    log2_alpha = 26 * np.log2(norm) + np.log2(v.max()) - np.log2(_ELL_C)
+    return max(int(np.ceil((log2_alpha + 53) / 26)), 0)
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a real square matrix.
 
-    Scaling and squaring with a diagonal Pade approximant r_m of degree 3,
-    5, 7, 9 or 13 (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)).  The
-    degree and the scaling 2^-s follow Al-Mohy & Higham 2009 (SIAM J.
-    Matrix Anal. Appl. 31(3)), the algorithm of ``scipy.linalg.expm``, with
-    exact 1-norms of A^2 .. A^10.  With r_m = (V - U)^-1 (V + U) split into
-    its odd part U and even part V, the result is formed as
-    ``I + 2 (V - U)^-1 U``, which keeps the quantities the flow conserves
-    markedly better than solving for V + U.  Exact for a zero matrix.
-    Raises ``ValueError`` when the result does not fit in doubles.
+    Scaling and squaring with the diagonal Pade approximant r_13 (Higham
+    2005, SIAM J. Matrix Anal. Appl. 26(4)), evaluated from A^2, A^4 and
+    A^6.  The scaling 2^-s follows the degree-13 branch of Al-Mohy & Higham
+    2009 (SIAM J. Matrix Anal. Appl. 31(3)), with exact 1-norms of A^6, A^8
+    and A^10.  With r_13 = (V - U)^-1 (V + U) split into its odd part U and
+    even part V, the result is formed as ``I + 2 (V - U)^-1 U``, which keeps
+    the quantities the flow conserves markedly better than solving for
+    V + U.  Exact for a zero matrix.  Raises ``ValueError`` when the result
+    does not fit in doubles.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -120,18 +96,18 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     norm = _onenorm(a)
     if norm > _MAX_NORM:
         raise ValueError(f"matrix_exponential needs a 1-norm below 2^100, got {norm:.3g}")
-    ident = np.eye(a.shape[0])
-    evens = [ident, a @ a]  # I, A^2, A^4, A^6, A^8
-    for k in (1, 2, 3):
-        evens.append(evens[k] @ evens[1])
-    m, s = _pade_degree(a, evens)
-    a = a * 2.0 ** -s
-    evens = [e * 2.0 ** (-2 * k * s) for k, e in enumerate(evens)]
-    for k in range(len(evens) - 1, m // 2):  # A^10 and A^12 for degree 13
-        evens.append(evens[k] @ evens[1])
-    b, js = _PADE[m], range(m // 2, -1, -1)
-    u = a @ sum(b[2 * j + 1] * evens[j] for j in js)
-    v = sum(b[2 * j] * evens[j] for j in js)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    d6, d8, d10 = (_onenorm(p) ** (1 / k) for p, k in ((a6, 6), (a4 @ a4, 8), (a4 @ a6, 10)))
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(int(np.ceil(np.log2(eta / _THETA))), 0) if eta > 0 else 0
+    s += _ell(a * 2.0 ** -s)
+    a, a2, a4, a6 = (p * 2.0 ** (-k * s) for p, k in ((a, 1), (a2, 2), (a4, 4), (a6, 6)))
+    ident, b = np.eye(a.shape[0]), _PADE
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + ident
     r = np.linalg.solve(v - u, 2.0 * u)
     r += ident
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,11 +179,21 @@ def _validate_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time grid must hold finite times")
     if times[0] != 0.0:
         raise ValueError("time grid must start at t = 0")
     if times.size > 1 and np.diff(times).min() <= 0:
         raise ValueError("time grid must be strictly increasing")
     return times
+
+
+def _check_record(points: float, m: int, n: int) -> None:
+    """Refuse a grid of ``points`` times whose record, zp, zo and zo_avg of
+    3 m n doubles per point, would exceed ``MAX_RECORD_BYTES``."""
+    if not 24 * points * m * n <= MAX_RECORD_BYTES:
+        raise ValueError(f"grid of {points:.3g} points: its record of {3 * m * n} doubles per "
+                         f"point would exceed MAX_RECORD_BYTES = {MAX_RECORD_BYTES / 2**30:g} GiB")
 
 
 def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
@@ -219,8 +205,10 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     to 1e-9 of the largest step share one exponential, taken at their mean,
     so a uniform grid costs one ``matrix_exponential`` and a grid with s
     distinct steps costs s.  The running average of ``zo`` is trapezoidal.
+    Refuses, before it allocates, a record beyond ``MAX_RECORD_BYTES``.
     """
     times = _validate_grid(times)
+    _check_record(times.size, aug.m, aug.n)
     rows = np.empty((times.size, 2 * aug.m, aug.n))
     rows[0] = np.vstack([aug.zp_selector, aug.zo_selector])
     zo, zo_avg = rows[:, aug.m:], np.zeros((0, aug.m, aug.n))

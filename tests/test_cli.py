@@ -490,6 +490,14 @@ class TestCliCommands:
         times, _, _ = read_trajectory_csv(tmp_path / "x" / "zp.csv")
         assert times[-1] == 10.5
 
+    def test_zero_coupling_leaves_synthesize_unchanged(self, sixmode_path, tmp_path):
+        # the flag is a simulation diagnostic; the designed observer keeps its coupling
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert main(["synthesize", str(sixmode_path), str(plain)]) == 0
+        path = write_changed_config(sixmode_path, tmp_path, "simulation", "zero_coupling", True)
+        assert main(["synthesize", path, str(flagged)]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+
     def test_simulate_zero_coupling_fails_convergence(self, fast_sixmode_path, tmp_path):
         out_dir = tmp_path / "decoupled"
         code = main(["simulate", str(fast_sixmode_path), str(out_dir),
