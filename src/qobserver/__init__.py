@@ -20,7 +20,6 @@ from .model import (
     J,
     QuantumLinearSystem,
     check_plant_conditions,
-    dynamics_from_hamiltonian,
     make_commutation_matrix,
     numerical_rank,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "QuantumLinearSystem",
     "ConditionReport",
     "make_commutation_matrix",
-    "dynamics_from_hamiltonian",
     "check_plant_conditions",
     "numerical_rank",
     "DecomposedPlant",

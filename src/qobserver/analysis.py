@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import J, QuantumLinearSystem, _as_matrix, _rank_from_singular_values
+from .model import J, QuantumLinearSystem, _dynamics_pair, _rank_from_singular_values
 
 __all__ = [
     "DecomposedPlant",
@@ -150,12 +150,12 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
     constant-block coordinates (where the commuting-outputs condition is a
     sparsity pattern), and map it back with ``C_p = [0, c_p2_tilde] P^T``.
 
+    (Theta_p, R_p) pass the plant's own checks before they are factored.
     Returns ``(plant, dec)`` where ``dec`` keeps the given output matrix
     verbatim, so designs stated in rotated coordinates are not polluted by
     the round trip through ``C_p``.
     """
-    theta_p = _as_matrix(theta_p, "theta_p")
-    r_p = _as_matrix(r_p, "r_p")
+    theta_p, r_p = _dynamics_pair(theta_p, r_p)
     c_p2_tilde = np.atleast_2d(np.asarray(c_p2_tilde, dtype=float))
     p, n_p1 = _dynamics_basis(theta_p, r_p)
     n_p2 = p.shape[0] - n_p1

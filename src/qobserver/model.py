@@ -5,7 +5,8 @@ matrix ``Theta`` (block diagonal in 2x2 symplectic units ``J``), a real
 symmetric Hamiltonian matrix ``R`` and an output selector ``C``.  The
 Heisenberg dynamics matrix is never stored; it is always derived as
 ``A = 2 Theta R``, which guarantees the commutation relations are
-preserved for all time (physical realizability).
+preserved for all time (physical realizability).  The plant is such a
+system, and so is the plant together with its directly coupled observer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "QuantumLinearSystem",
     "ConditionReport",
     "make_commutation_matrix",
-    "dynamics_from_hamiltonian",
     "check_plant_conditions",
     "numerical_rank",
 ]
@@ -88,20 +88,35 @@ def _symmetric(a: np.ndarray) -> bool:
     return not a.size or np.abs(a - a.T).max() <= SYMMETRY_TOL * np.abs(a).max()
 
 
-def _check_commutation(theta: np.ndarray, name: str = "theta") -> None:
-    """Require an exactly canonical commutation matrix (block-J form)."""
+def _dynamics_pair(theta, r) -> tuple[np.ndarray, np.ndarray]:
+    """``(theta, r)`` as the checked matrices of one closed system: theta
+    exactly canonical (block-J form), r of its size and symmetric relative
+    to its largest entry."""
+    theta = _as_matrix(theta, "theta")
+    r = _as_matrix(r, "r")
     n = theta.shape[0]
     if theta.shape[1] != n or n % 2 != 0 or n == 0:
-        raise ValueError(f"{name} must be square with even dimension, got {theta.shape}")
+        raise ValueError(f"theta must be square with even dimension, got {theta.shape}")
     if not np.array_equal(theta.T, -theta):
-        raise ValueError(f"{name} must be exactly skew-symmetric")
+        raise ValueError("theta must be exactly skew-symmetric")
     if not np.array_equal(theta @ theta, -np.eye(n)):
-        raise ValueError(f"{name} must square to -I (canonical block-J form)")
+        raise ValueError("theta must square to -I (canonical block-J form)")
+    if r.shape != (n, n):
+        raise ValueError(f"r must be {n}x{n}, got {r.shape}")
+    if not _symmetric(r):
+        raise ValueError("r must be symmetric to within 1e-12 of its largest entry")
+    return theta, r
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class QuantumLinearSystem:
-    """A closed linear quantum plant (commutation matrix, Hamiltonian, output).
+    """A closed linear quantum system (commutation matrix, Hamiltonian, output).
 
     Attributes
     ----------
@@ -111,6 +126,8 @@ class QuantumLinearSystem:
         n x n real symmetric Hamiltonian matrix (energy = 0.5 x^T R x).
     c : ndarray
         m x n output selector; the estimated variables are z = C x.
+
+    The arrays are stored as read-only copies.
     """
 
     theta: np.ndarray
@@ -118,21 +135,13 @@ class QuantumLinearSystem:
     c: np.ndarray
 
     def __post_init__(self):
-        theta = _as_matrix(self.theta, "theta")
-        r = _as_matrix(self.r, "r")
+        theta, r = _dynamics_pair(self.theta, self.r)
         c = _as_matrix(self.c, "c")
-        _check_commutation(theta, "theta")
         n = theta.shape[0]
-        if r.shape != (n, n):
-            raise ValueError(f"r must be {n}x{n}, got {r.shape}")
-        if not _symmetric(r):
-            raise ValueError("r must be symmetric to within 1e-12 of its largest entry")
         if c.shape[1] != n or c.shape[0] < 1:
             raise ValueError(f"c must have {n} columns and at least one row, got {c.shape}")
         for name, arr in (("theta", theta), ("r", r), ("c", c)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
 
     @property
     def n(self) -> int:
@@ -146,31 +155,15 @@ class QuantumLinearSystem:
 
     @property
     def a(self) -> np.ndarray:
-        """Heisenberg dynamics matrix 2*Theta*R (derived, never stored)."""
-        return dynamics_from_hamiltonian(self.theta, self.r)
+        """Heisenberg dynamics matrix ``A = 2 Theta R`` (derived, never stored).
 
-
-def dynamics_from_hamiltonian(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Dynamics matrix ``A = 2 Theta R`` of a quadratic Hamiltonian.
-
-    `theta` may be any skew block of a commutation matrix (it is not
-    required to be in canonical form here); `r` must be symmetric to
-    within ``SYMMETRY_TOL`` of its largest entry.  Raises ``ValueError``
-    when A does not fit in doubles.
-    """
-    theta = _as_matrix(theta, "theta")
-    r = _as_matrix(r, "r")
-    if theta.shape[0] != theta.shape[1]:
-        raise ValueError(f"theta must be square, got {theta.shape}")
-    if r.shape != theta.shape:
-        raise ValueError(f"dimension mismatch: theta {theta.shape}, r {r.shape}")
-    if not _symmetric(r):
-        raise ValueError("r must be symmetric to within 1e-12 of its largest entry")
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = 2.0 * theta @ r
-    if not np.all(np.isfinite(a)):
-        raise ValueError("2 theta r overflows doubles")
-    return a
+        Raises ``ValueError`` when A does not fit in doubles.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = 2.0 * self.theta @ self.r
+        if not np.all(np.isfinite(a)):
+            raise ValueError("2 theta r overflows doubles")
+        return a
 
 
 @dataclass(frozen=True)
@@ -221,11 +214,14 @@ def check_plant_conditions(plant: QuantumLinearSystem, tol: float = CONDITION_TO
 
     A caller that has decomposed the plant passes its ``n_p1`` as `rank_cr`,
     so that a design factors ``[R, Theta R]`` once; otherwise it is ranked here.
+    A `rank_cr` outside ``0..n`` raises ``ValueError``.
     """
     theta, r, c = plant.theta, plant.r, plant.c
     cr = np.hstack([r, theta @ r])
     if rank_cr is None:
         rank_cr = numerical_rank(cr)
+    elif not 0 <= rank_cr <= plant.n:
+        raise ValueError(f"rank_cr must lie in 0..{plant.n}, got {rank_cr}")
     n_p2 = plant.n - rank_cr
 
     tf_residual = float(np.abs(c @ cr).max())

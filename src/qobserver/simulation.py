@@ -2,13 +2,13 @@
 
 The outputs of a closed quantum system are operator-valued, but their
 coefficients with respect to the initial-condition operators are plain
-matrices: ``zp_coeffs(t) = [C_p, 0] e^{A_a t}`` and similarly for the
-observer.  This module computes those coefficient trajectories, their
-running time averages, the averaged error in closed form, and rate
-diagnostics of the convergence of observer to plant outputs.  numpy is the only
-numerical runtime: the matrix exponential is computed here by scaling and
-squaring.  The fixed-step RK4 reference that verifies the propagator lives
-in ``tests/oracles.py``.
+matrices: ``zp_coeffs(t) = [C_p, 0] e^{A t}``, with A the dynamics matrix
+of the composite, and similarly for the observer.  This module computes
+those coefficient trajectories, their running time averages, the averaged
+error in closed form, and rate diagnostics of the convergence of observer to
+plant outputs.  numpy is the only numerical runtime: the matrix exponential
+is computed here by scaling and squaring.  The fixed-step RK4 reference that
+verifies the propagator lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -141,10 +141,10 @@ class TrajectoryRecord:
 
     ``zp_coeffs[k]`` and ``zo_coeffs[k]`` are the m x (n_p + n_o)
     coefficient matrices at ``times[k]``: the top and bottom halves of the
-    2m output rows ``[zp_selector; zo_selector] Phi(t_k)``.  ``zo_avg[k]``
+    2m output rows ``[c; zo_selector] Phi(t_k)`` of the composite.  ``zo_avg[k]``
     is the running time average ``(1/t_k) integral_0^{t_k} zo_coeffs dt``
     (trapezoidal), with the t = 0 entry set to its continuous limit
-    ``zo_coeffs[0]``.  For a single-point grid ``zo_avg`` is empty.
+    ``zo_coeffs[0]``.
     """
 
     times: np.ndarray
@@ -199,8 +199,8 @@ def _check_record(points: float, m: int, n: int) -> None:
 def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     """Propagate the output rows of the composite system over a time grid.
 
-    Only the 2m output rows ``[zp_selector; zo_selector] Phi(t_k)`` are
-    carried, stepped by ``rows[k+1] = rows[k] e^{A_a h_k}``; this is exact
+    Only the 2m output rows ``[c; zo_selector] Phi(t_k)`` are
+    carried, stepped by ``rows[k+1] = rows[k] e^{A h_k}``; this is exact
     because the propagator commutes with its own steps.  Steps that agree
     to 1e-9 of the largest step share one exponential, taken at their mean,
     so a uniform grid costs one ``matrix_exponential`` and a grid with s
@@ -209,25 +209,26 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     """
     times = _validate_grid(times)
     _check_record(times.size, aug.m, aug.n)
+    a = aug.a
     rows = np.empty((times.size, 2 * aug.m, aug.n))
-    rows[0] = np.vstack([aug.zp_selector, aug.zo_selector])
-    zo, zo_avg = rows[:, aug.m:], np.zeros((0, aug.m, aug.n))
+    rows[0] = np.vstack([aug.c, aug.zo_selector])
+    zo = rows[:, aug.m:]
     steps = np.diff(times)
     if steps.size:
         _, group = np.unique(np.round(steps / steps.max(), 9), return_inverse=True)
         means = np.bincount(group, weights=steps) / np.bincount(group)
-        exps = [matrix_exponential(aug.a_a * h) for h in means]
+        exps = [matrix_exponential(a * h) for h in means]
         for k, g in enumerate(group.tolist()):
             np.matmul(rows[k], exps[g], out=rows[k + 1])
-        # cumulative_trapezoid's operations in its order, without temporaries
-        zo_avg = np.empty_like(zo)
-        zo_avg[0] = zo[0]
-        tail = zo_avg[1:]
-        np.add(zo[1:], zo[:-1], out=tail)
-        tail *= steps[:, None, None]
-        tail /= 2.0
-        np.cumsum(tail, axis=0, out=tail)
-        tail /= times[1:, None, None]
+    # cumulative_trapezoid's operations in its order, without temporaries
+    zo_avg = np.empty_like(zo)
+    zo_avg[0] = zo[0]
+    tail = zo_avg[1:]
+    np.add(zo[1:], zo[:-1], out=tail)
+    tail *= steps[:, None, None]
+    tail /= 2.0
+    np.cumsum(tail, axis=0, out=tail)
+    tail /= times[1:, None, None]
     return TrajectoryRecord(times=times, zp_coeffs=rows[:, :aug.m], zo_coeffs=zo, zo_avg=zo_avg)
 
 
@@ -261,7 +262,7 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
     zp_drift = float(max((rec.zp_coeffs.max(axis=0) - target).max(),
                          (target - rec.zp_coeffs.min(axis=0)).max()))
 
-    errors = _average_errors(rec.zo_avg, aug.zp_selector)
+    errors = _average_errors(rec.zo_avg, aug.c)
     final_error = float(errors[-1])
 
     window = (rec.times >= rec.t_end / 32) & (rec.times > 0)

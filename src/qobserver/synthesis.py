@@ -23,9 +23,9 @@ from .model import (
     ConditionReport,
     QuantumLinearSystem,
     _as_matrix,
+    _read_only,
     _symmetric,
     check_plant_conditions,
-    dynamics_from_hamiltonian,
     make_commutation_matrix,
     numerical_rank,
 )
@@ -93,27 +93,23 @@ class ObserverDesign:
 
 
 @dataclass(frozen=True)
-class AugmentedSystem:
-    """The closed plant-observer composite.
+class AugmentedSystem(QuantumLinearSystem):
+    """The closed plant-observer composite, itself a closed linear quantum system.
 
-    ``a_a = 2 theta_a r_a`` with ``theta_a = diag(theta_p, theta_o)`` and
-    ``r_a = [[r_p, r_c], [r_c^T, r_o]]``.  The selectors pick the plant and
-    observer output coefficient rows out of the composite propagator.
+    ``theta = diag(theta_p, theta_o)``, ``r = [[r_p, r_c], [r_c^T, r_o]]`` and
+    ``c = [c_p, 0]`` picks the plant outputs out of the composite variables;
+    ``zo_selector = [0, c_o]``, of the shape of ``c``, picks the observer outputs.
     """
 
-    theta_a: np.ndarray
-    r_a: np.ndarray
-    a_a: np.ndarray
-    zp_selector: np.ndarray
     zo_selector: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.theta_a.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.zp_selector.shape[0]
+    def __post_init__(self):
+        super().__post_init__()
+        zo_selector = _as_matrix(self.zo_selector, "zo_selector")
+        if zo_selector.shape != self.c.shape:
+            raise ValueError(f"zo_selector must have the shape of c, {self.c.shape}, "
+                             f"got {zo_selector.shape}")
+        object.__setattr__(self, "zo_selector", _read_only(zo_selector))
 
 
 def _checked(name: str, a, shape: tuple) -> np.ndarray:
@@ -198,14 +194,9 @@ def assemble_augmented(plant: QuantumLinearSystem,
         raise ValueError(f"coupling block must be {n_p}x{n_o}, got {obs.r_c.shape}")
     if m != plant.m:
         raise ValueError(f"observer estimates {m} outputs, plant has {plant.m}")
-    theta_a = np.block([
-        [plant.theta, np.zeros((n_p, n_o))],
-        [np.zeros((n_o, n_p)), obs.theta_o],
-    ])
-    r_a = np.block([[plant.r, obs.r_c], [obs.r_c.T, obs.r_o]])
-    a_a = dynamics_from_hamiltonian(theta_a, r_a)
-    zp_selector = np.hstack([plant.c, np.zeros((m, n_o))])
-    zo_selector = np.hstack([np.zeros((m, n_p)), obs.c_o])
-    return AugmentedSystem(theta_a=theta_a, r_a=r_a, a_a=a_a,
-                           zp_selector=zp_selector, zo_selector=zo_selector)
-
+    return AugmentedSystem(
+        theta=np.block([[plant.theta, np.zeros((n_p, n_o))],
+                        [np.zeros((n_o, n_p)), obs.theta_o]]),
+        r=np.block([[plant.r, obs.r_c], [obs.r_c.T, obs.r_o]]),
+        c=np.hstack([plant.c, np.zeros((m, n_o))]),
+        zo_selector=np.hstack([np.zeros((m, n_p)), obs.c_o]))

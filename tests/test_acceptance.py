@@ -84,7 +84,7 @@ def test_criterion_4_time_averaged_convergence(sixmode_system, sixmode_record):
     report = time_average_error(record, aug)
     ok = report.decay_slope is not None and -1.3 <= report.decay_slope <= -0.7
 
-    errors = np.linalg.norm(record.zo_avg - aug.zp_selector, axis=(1, 2))
+    errors = np.linalg.norm(record.zo_avg - aug.c, axis=(1, 2))
     err_10 = errors[int(round(10.0 / 0.01))]
     err_200 = errors[-1]
     ok = ok and err_200 <= 2.0 * (err_10 / 10.0)
@@ -99,11 +99,11 @@ def test_criterion_5_physical_realizability_invariants():
     for _ in range(50):
         *_, aug = random_valid_system(rng)
         for t in (1.0, 10.0, 100.0):
-            phi = matrix_exponential(aug.a_a * t)
+            phi = matrix_exponential(aug.a * t)
             worst_ccr = max(worst_ccr, np.abs(
-                phi @ aug.theta_a @ phi.T - aug.theta_a).max())
+                phi @ aug.theta @ phi.T - aug.theta).max())
             worst_energy = max(worst_energy, np.abs(
-                phi.T @ aug.r_a @ phi - aug.r_a).max())
+                phi.T @ aug.r @ phi - aug.r).max())
     ok = worst_ccr <= 1e-8 and worst_energy <= 1e-8
     _criterion(5, "commutation/energy preservation on 50 random systems",
                ok, f"worst {worst_ccr:.2e} / {worst_energy:.2e}")

@@ -228,6 +228,16 @@ class TestPlantFromTransformedOutput:
         with pytest.raises(ValueError, match="n_p2"):
             plant_from_transformed_output(theta, np.ones((6, 6)), np.eye(2, 3))
 
+    def test_dynamics_pair_is_checked_before_factoring(self):
+        # refused as the plant refuses it, not for the width the SVD implies
+        theta = make_commutation_matrix(3)
+        r = np.ones((6, 6))
+        r[0, 1] = 2.0
+        with pytest.raises(ValueError, match="r must be symmetric"):
+            plant_from_transformed_output(theta, r, np.eye(2, 4))
+        with pytest.raises(ValueError, match="r must be 6x6"):
+            plant_from_transformed_output(theta, np.ones((4, 4)), np.eye(2, 4))
+
     def test_matches_decompose_plant(self):
         rng = np.random.default_rng(13)
         plant, dec = random_valid_plant(rng)

@@ -18,9 +18,17 @@ from qobserver import (
     QuantumLinearSystem,
     check_plant_conditions,
     decompose_plant,
+    propagate,
     synthesize_observer,
 )
-from qobserver.cli import RunReport, cmd_analyze, cmd_demo, main, write_matrices_csv
+from qobserver.cli import (
+    RunReport,
+    cmd_analyze,
+    cmd_demo,
+    main,
+    write_matrices_csv,
+    write_trajectory_csv,
+)
 from qobserver.config import (
     ConfigError,
     PlantConfig,
@@ -255,6 +263,15 @@ class TestCsvInterchange:
         assert np.array_equal(loaded["a"], mats["a"])
         assert np.array_equal(loaded["b"], mats["b"])
 
+    def test_one_point_record_round_trip(self, sixmode_system, tmp_path):
+        *_, aug = sixmode_system
+        rec = propagate(aug, [0.0])
+        path = tmp_path / "zo_avg.csv"
+        write_trajectory_csv(path, rec.times, rec.zo_avg, "o_avg")
+        times, avg, _ = read_trajectory_csv(path)
+        assert times.tolist() == [0.0]
+        assert np.array_equal(avg, aug.zo_selector.reshape(1, -1))
+
     @pytest.mark.parametrize("rows", [
         ["r_o,0,0,1", "r_o,1,1,1"],                                   # missing cells
         ["r_o,0,0,1", "r_o,0,1,0", "r_o,1,0,0", "r_o,1,1,1", "r_o,1,1,2"],  # repeated cell
@@ -284,6 +301,22 @@ class TestCliCommands:
             "format_version": 1, "n_p": 5, "m": 1,
             "r_p": [0.0] * 25, "c_p": [1.0, 0, 0, 0, 0]}))
         assert main(["analyze", str(path)]) == 2
+
+    @pytest.mark.parametrize("output", ["c_p2_tilde", "c_p"])
+    def test_analyze_refuses_asymmetric_r_for_either_output(self, sixmode_path, tmp_path,
+                                                            capsys, output):
+        doc = json.loads(sixmode_path.read_text())
+        doc["r_p"][1] = 2.0
+        if output == "c_p":
+            plant, _ = build_plant(sixmode_config())
+            del doc["c_p2_tilde"]
+            doc["c_p"] = plant.c.ravel().tolist()
+        path = tmp_path / "asymmetric.json"
+        path.write_text(json.dumps(doc))
+        code = main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: r must be symmetric to within 1e-12 of its largest entry\n"
 
     def test_analyze_fails_on_zero_output(self, tmp_path):
         zeroed = PlantConfig(n_p=6, m=2, r_p=np.ones((6, 6)), c_p=np.zeros((2, 6)))

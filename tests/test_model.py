@@ -9,7 +9,6 @@ from qobserver import (
     J,
     QuantumLinearSystem,
     check_plant_conditions,
-    dynamics_from_hamiltonian,
     make_commutation_matrix,
     numerical_rank,
 )
@@ -42,34 +41,39 @@ class TestMakeCommutationMatrix:
             make_commutation_matrix(bad)
 
 
+def dynamics(theta, r):
+    """``A = 2 Theta R`` of the one-output system on (theta, r)."""
+    return QuantumLinearSystem(theta, r, np.eye(1, np.shape(theta)[0])).a
+
+
 class TestDynamicsFromHamiltonian:
     def test_identity_hamiltonian(self):
-        assert np.array_equal(dynamics_from_hamiltonian(J, np.eye(2)), 2 * J)
+        assert np.array_equal(dynamics(J, np.eye(2)), 2 * J)
 
     def test_rank_one_block(self):
         # the dynamical block of the six-mode demo
-        a = dynamics_from_hamiltonian(J, [[3.0, 3.0], [3.0, 3.0]])
+        a = dynamics(J, [[3.0, 3.0], [3.0, 3.0]])
         assert np.array_equal(a, [[6.0, 6.0], [-6.0, -6.0]])
 
     def test_zero_hamiltonian(self):
-        assert np.array_equal(dynamics_from_hamiltonian(J, np.zeros((2, 2))), np.zeros((2, 2)))
+        assert np.array_equal(dynamics(J, np.zeros((2, 2))), np.zeros((2, 2)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            dynamics_from_hamiltonian(J, np.eye(4))
+            dynamics(J, np.eye(4))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            dynamics_from_hamiltonian(J, [[0.0, 1.0], [0.0, 0.0]])
+            dynamics(J, [[0.0, 1.0], [0.0, 0.0]])
 
     def test_nonsquare_theta_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            dynamics_from_hamiltonian(np.zeros((2, 3)), np.eye(2))
+            dynamics(np.zeros((2, 3)), np.eye(2))
 
     def test_rejects_overflow(self):
         # 2 * 1e308 is beyond doubles; the caller gets an error, not a warning
         with pytest.raises(ValueError, match="overflows"):
-            dynamics_from_hamiltonian(J, np.eye(2) * 1e308)
+            dynamics(J, np.eye(2) * 1e308)
 
     def test_flow_preserves_commutation_structure(self):
         # A Theta + Theta A^T = 0 for any symmetric r
@@ -79,7 +83,7 @@ class TestDynamicsFromHamiltonian:
             theta = make_commutation_matrix(n_modes)
             g = rng.normal(size=(2 * n_modes, 2 * n_modes))
             r = (g + g.T) / 2
-            a = dynamics_from_hamiltonian(theta, r)
+            a = dynamics(theta, r)
             assert np.abs(a @ theta + theta @ a.T).max() <= 1e-12
 
 
@@ -108,8 +112,7 @@ class TestQuantumLinearSystem:
         for r in [rank_two] + [1e5 * random_spd(rng, 8) for _ in range(5)]:
             assert np.abs(r - r.T).max() > 1e-12
             theta = make_commutation_matrix(r.shape[0] // 2)
-            QuantumLinearSystem(theta, r, np.eye(1, r.shape[0]))
-            dynamics_from_hamiltonian(theta, r)
+            QuantumLinearSystem(theta, r, np.eye(1, r.shape[0])).a
             asymmetric = r.copy()
             asymmetric[0, 1] += 1e-11 * np.abs(r).max()
             with pytest.raises(ValueError, match="symmetric"):
@@ -163,6 +166,14 @@ class TestPlantConditions:
         assert report.tf_cond_ok and report.cjc_ok and report.rank_ok and report.bound_ok
         assert report.rank_cr == 2
         assert report.n_p2 == 4
+
+    @pytest.mark.parametrize("rank_cr", [-1, 7, 99])
+    def test_rejects_rank_outside_dimension(self, sixmode, rank_cr):
+        # n_p2 = n - rank_cr would be negative or above n
+        plant, _ = sixmode
+        with pytest.raises(ValueError, match="rank_cr"):
+            check_plant_conditions(plant, rank_cr=rank_cr)
+        assert check_plant_conditions(plant, rank_cr=6).n_p2 == 0
 
     def test_zero_hamiltonian_plant(self):
         # any single variable of a free plant is estimable

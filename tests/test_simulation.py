@@ -31,12 +31,10 @@ def rotation(angle):
 
 
 def single_mode_system(r=None):
-    """A 1-mode augmented stand-in: a_a = 2 J R with selectors on each row."""
-    theta = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    r = np.eye(2) if r is None else np.asarray(r, dtype=float)
+    """A 1-mode augmented stand-in: A = 2 J R with selectors on each row."""
     return AugmentedSystem(
-        theta_a=theta, r_a=r, a_a=2.0 * theta @ r,
-        zp_selector=np.eye(1, 2), zo_selector=np.eye(1, 2, k=1),
+        theta=np.array([[0.0, 1.0], [-1.0, 0.0]]), r=np.eye(2) if r is None else r,
+        c=np.eye(1, 2), zo_selector=np.eye(1, 2, k=1),
     )
 
 
@@ -155,9 +153,9 @@ class TestMatrixExponential:
                 a = rng.normal(size=(n, n))
                 inputs.append(a * (norm / np.abs(a).sum(axis=0).max()))
         *_, aug = sixmode_system
-        inputs += [aug.a_a * h for h in (0.01, 1.0, 10.0)]
+        inputs += [aug.a * h for h in (0.01, 1.0, 10.0)]
         plant, dec = random_passive_plant(rng, 5, 2, 2)
-        inputs.append(assemble_augmented(plant, synthesize_observer(dec)).a_a * 0.1)
+        inputs.append(assemble_augmented(plant, synthesize_observer(dec)).a * 0.1)
         for a in inputs:
             reference = scipy.linalg.expm(a)
             rel = np.linalg.norm(matrix_exponential(a) - reference) / np.linalg.norm(reference)
@@ -196,7 +194,7 @@ class TestTimeGrid:
 class TestPropagate:
     def test_initial_coefficients_are_selectors(self, sixmode_system, sixmode_record):
         *_, aug = sixmode_system
-        assert np.array_equal(sixmode_record.zp_coeffs[0], aug.zp_selector)
+        assert np.array_equal(sixmode_record.zp_coeffs[0], aug.c)
         assert np.array_equal(sixmode_record.zo_coeffs[0], aug.zo_selector)
 
     def test_plant_outputs_stay_constant(self, sixmode_system):
@@ -227,8 +225,9 @@ class TestPropagate:
         *_, aug = sixmode_system
         record = propagate(aug, np.array([0.0]))
         assert record.times.shape == (1,)
-        assert np.array_equal(record.zp_coeffs[0], aug.zp_selector)
-        assert record.zo_avg.shape[0] == 0
+        assert np.array_equal(record.zp_coeffs[0], aug.c)
+        assert record.zo_avg.shape == (1, aug.m, aug.n)
+        assert np.array_equal(record.zo_avg[0], aug.zo_selector)
 
     @pytest.mark.parametrize("times", [[], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [1.0, 2.0]])
     def test_rejects_bad_grids(self, sixmode_system, times):
@@ -280,18 +279,18 @@ class TestPropagate:
     def test_mixed_grid_rows_match_direct_exponentials(self, sixmode_system):
         *_, aug = sixmode_system
         record = propagate(aug, MIXED_GRID)
-        selectors = np.vstack([aug.zp_selector, aug.zo_selector])
+        selectors = np.vstack([aug.c, aug.zo_selector])
         for k, t in enumerate(MIXED_GRID):
             rows = np.vstack([record.zp_coeffs[k], record.zo_coeffs[k]])
-            assert np.abs(rows - selectors @ matrix_exponential(aug.a_a * t)).max() <= 1e-12
+            assert np.abs(rows - selectors @ matrix_exponential(aug.a * t)).max() <= 1e-12
 
     def test_random_system_rows_match_direct_exponentials(self):
         *_, aug = random_valid_system(np.random.default_rng(73))
         times = time_grid(50.0, 0.01)
         record = propagate(aug, times)
-        selectors = np.vstack([aug.zp_selector, aug.zo_selector])
+        selectors = np.vstack([aug.c, aug.zo_selector])
         for k in (0, times.size // 2, times.size - 1):
-            reference = selectors @ matrix_exponential(aug.a_a * times[k])
+            reference = selectors @ matrix_exponential(aug.a * times[k])
             rows = np.vstack([record.zp_coeffs[k], record.zo_coeffs[k]])
             assert np.all(np.abs(rows - reference)
                           <= 1e-9 * np.maximum(1.0, np.abs(reference)))
@@ -300,12 +299,12 @@ class TestPropagate:
         # the odd/even split I + 2 (V - U)^-1 U keeps this below 1e-9;
         # solving (V - U) X = V + U drifts to about 2.3e-9
         *_, aug = sixmode_system
-        e = matrix_exponential(aug.a_a * 0.01)
-        rows = np.vstack([aug.zp_selector, aug.zo_selector])
+        e = matrix_exponential(aug.a * 0.01)
+        rows = np.vstack([aug.c, aug.zo_selector])
         drift = 0.0
         for _ in range(20000):
             rows = rows @ e
-            drift = max(drift, np.abs(rows[:aug.m] - aug.zp_selector).max())
+            drift = max(drift, np.abs(rows[:aug.m] - aug.c).max())
         assert drift <= 1e-9
 
     @pytest.mark.parametrize("grid", ["sixmode", "mixed"])
@@ -323,15 +322,15 @@ class TestPropagate:
         for _ in range(5):
             *_, aug = random_valid_system(rng)
             h = 0.5
-            e = matrix_exponential(aug.a_a * h)
+            e = matrix_exponential(aug.a * h)
             phi = np.eye(aug.n)
             worst_ccr = worst_energy = 0.0
             for _ in range(200):  # t up to 100
                 phi = e @ phi
                 worst_ccr = max(worst_ccr, np.abs(
-                    phi @ aug.theta_a @ phi.T - aug.theta_a).max())
+                    phi @ aug.theta @ phi.T - aug.theta).max())
                 worst_energy = max(worst_energy, np.abs(
-                    phi.T @ aug.r_a @ phi - aug.r_a).max())
+                    phi.T @ aug.r @ phi - aug.r).max())
             assert worst_ccr <= 1e-8
             assert worst_energy <= 1e-8
 
@@ -350,7 +349,7 @@ class TestTimeAverageError:
         # bias: 1.05e-4 at the first grid point, 1.05e-5 for T >= 10
         plant, _, obs, aug = sixmode_system
         times = sixmode_record.times
-        errors = np.linalg.norm(sixmode_record.zo_avg - aug.zp_selector, axis=(1, 2))
+        errors = np.linalg.norm(sixmode_record.zo_avg - aug.c, axis=(1, 2))
         predicted = predicted_average_error(obs, plant.c, times)
         bound = trapezoid_bias_bound(obs, times)
         assert np.all(np.abs(errors - predicted) <= bound + ROUNDOFF)
@@ -360,10 +359,10 @@ class TestTimeAverageError:
             self, sixmode_system, sixmode_record):
         *_, aug = sixmode_system
         zo_avg = sixmode_record.zo_avg
-        expected = np.linalg.norm(zo_avg - aug.zp_selector, axis=(1, 2))
+        expected = np.linalg.norm(zo_avg - aug.c, axis=(1, 2))
         tracemalloc.start()
         try:
-            errors = _average_errors(zo_avg, aug.zp_selector)
+            errors = _average_errors(zo_avg, aug.c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,7 +377,7 @@ class TestTimeAverageError:
         mask = times >= 10.0
         k_const = (times * predicted_average_error(obs, plant.c, times))[mask].max()
         assert abs(k_const - np.sqrt(10.0)) <= 1e-6
-        errors = np.linalg.norm(sixmode_record.zo_avg - aug.zp_selector, axis=(1, 2))
+        errors = np.linalg.norm(sixmode_record.zo_avg - aug.c, axis=(1, 2))
         bias = trapezoid_bias_bound(obs, times)
         assert np.all(errors[mask] <= k_const / times[mask] + bias[mask] + ROUNDOFF)
 
@@ -395,7 +394,7 @@ class TestTimeAverageError:
         times = time_grid(50.0, 0.01)
         for plant, obs in designs:
             aug = assemble_augmented(plant, obs)
-            errors = np.linalg.norm(propagate(aug, times).zo_avg - aug.zp_selector, axis=(1, 2))
+            errors = np.linalg.norm(propagate(aug, times).zo_avg - aug.c, axis=(1, 2))
             predicted = predicted_average_error(obs, plant.c, times)
             assert np.all(np.abs(errors - predicted)
                           <= trapezoid_bias_bound(obs, times) + ROUNDOFF)
@@ -408,7 +407,7 @@ class TestTimeAverageError:
         assert not report.passed
         # average of pure rotations tends to zero, so the error approaches
         # the norm of the target itself
-        target_norm = np.linalg.norm(aug.zp_selector)
+        target_norm = np.linalg.norm(aug.c)
         assert abs(report.final_error - target_norm) <= 0.1
         assert report.zp_drift <= 1e-10  # plant outputs still constant
 
@@ -433,7 +432,7 @@ class TestTimeAverageError:
     def test_decay_slope_equals_polyfit(self, sixmode_system, sixmode_record):
         *_, aug = sixmode_system
         rec = sixmode_record
-        errors = np.linalg.norm(rec.zo_avg - aug.zp_selector, axis=(1, 2))
+        errors = np.linalg.norm(rec.zo_avg - aug.c, axis=(1, 2))
         window = (rec.times >= rec.t_end / 32) & (rec.times > 0)
         fitted = np.polyfit(np.log(rec.times[window]), np.log(errors[window]), 1)[0]
         slope = time_average_error(rec, aug).decay_slope
@@ -499,10 +498,10 @@ class TestOdeOracle:
         assert np.abs(zo[-1] - expected[1]).max() <= 1e-9
 
     def test_nilpotent_polynomial_solution(self):
-        # a_a = 2 J R for R = [[3,3],[3,3]] squares to zero: X(t) = I + a t
+        # A = 2 J R for R = [[3,3],[3,3]] squares to zero: X(t) = I + A t
         aug = single_mode_system(r=[[3.0, 3.0], [3.0, 3.0]])
         times, zp, zo = ode_oracle(aug, 1.0, dt=1e-3)
-        expected = np.eye(2) + aug.a_a * times[-1]
+        expected = np.eye(2) + aug.a * times[-1]
         assert np.abs(zp[-1] - expected[0]).max() <= 1e-9
         assert np.abs(zo[-1] - expected[1]).max() <= 1e-9
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qobserver import (
+    AugmentedSystem,
     PlantConditionError,
     QuantumLinearSystem,
     assemble_augmented,
@@ -164,45 +165,65 @@ class TestSynthesizeObserver:
 class TestAssembleAugmented:
     def test_sixmode_block_layout(self, sixmode_system):
         plant, dec, obs, aug = sixmode_system
-        assert aug.a_a.shape == (8, 8)
-        theta_a = np.zeros((8, 8))
-        theta_a[:6, :6] = plant.theta
-        theta_a[6:, 6:] = obs.theta_o
-        r_a = np.zeros((8, 8))
-        r_a[:6, :6] = plant.r
-        r_a[:6, 6:] = obs.r_c
-        r_a[6:, :6] = obs.r_c.T
-        r_a[6:, 6:] = obs.r_o
-        assert np.array_equal(aug.theta_a, theta_a)
-        assert np.array_equal(aug.r_a, r_a)
-        assert np.array_equal(aug.a_a, 2.0 * theta_a @ r_a)
-        assert np.array_equal(aug.zp_selector, np.hstack([plant.c, np.zeros((2, 2))]))
+        assert isinstance(aug, QuantumLinearSystem)
+        assert aug.n == 8 and aug.m == 2
+        theta = np.zeros((8, 8))
+        theta[:6, :6] = plant.theta
+        theta[6:, 6:] = obs.theta_o
+        r = np.zeros((8, 8))
+        r[:6, :6] = plant.r
+        r[:6, 6:] = obs.r_c
+        r[6:, :6] = obs.r_c.T
+        r[6:, 6:] = obs.r_o
+        assert np.array_equal(aug.theta, theta)
+        assert np.array_equal(aug.r, r)
+        assert np.array_equal(aug.a, 2 * aug.theta @ aug.r)
+        assert np.array_equal(aug.c, np.hstack([plant.c, np.zeros((2, 2))]))
         assert np.array_equal(aug.zo_selector, np.hstack([np.zeros((2, 6)), obs.c_o]))
+
+    def test_arrays_are_read_only(self, sixmode_system):
+        *_, aug = sixmode_system
+        for name in ("theta", "r", "c", "zo_selector"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(aug, name)[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(1, 8), (2, 6), (3, 8)])
+    def test_rejects_zo_selector_of_wrong_shape(self, sixmode_system, shape):
+        *_, aug = sixmode_system
+        with pytest.raises(ValueError, match="zo_selector must have the shape of c"):
+            AugmentedSystem(aug.theta, aug.r, aug.c, np.zeros(shape))
+
+    def test_composite_is_validated_as_a_system(self, sixmode_system):
+        *_, aug = sixmode_system
+        asymmetric = aug.r.copy()
+        asymmetric[0, 7] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            AugmentedSystem(aug.theta, asymmetric, aug.c, aug.zo_selector)
 
     def test_constant_block_couples_only_through_coupling(self, sixmode_system):
         plant, dec, obs, aug = sixmode_system
-        # rotate the plant part of a_a: the constant-coordinate rows read
+        # rotate the plant part of A: the constant-coordinate rows read
         # [0, 0, 2 theta22 r_c_tilde]
         t = np.zeros((8, 8))
         t[:6, :6] = dec.p
         t[6:, 6:] = np.eye(2)
-        a_rot = t.T @ aug.a_a @ t
+        a_rot = t.T @ aug.a @ t
         rows = slice(dec.n_p1, 6)
         assert np.abs(a_rot[rows, :6]).max() <= 1e-12
         assert np.abs(a_rot[rows, 6:] - 2.0 * dec.theta22 @ obs.r_c_tilde).max() <= 1e-12
 
     def test_invariants(self, sixmode_system):
         *_, aug = sixmode_system
-        assert np.abs(aug.r_a - aug.r_a.T).max() == 0.0
-        assert np.abs(aug.a_a @ aug.theta_a + aug.theta_a @ aug.a_a.T).max() <= 1e-12
+        assert np.abs(aug.r - aug.r.T).max() == 0.0
+        assert np.abs(aug.a @ aug.theta + aug.theta @ aug.a.T).max() <= 1e-12
 
     def test_zero_coupling_decouples(self, sixmode_system):
         plant, dec, obs, _ = sixmode_system
         decoupled = dataclasses.replace(obs, r_c=np.zeros_like(obs.r_c),
                                         r_c_tilde=np.zeros_like(obs.r_c_tilde))
         aug = assemble_augmented(plant, decoupled)
-        assert np.abs(aug.a_a[:6, 6:]).max() == 0.0
-        assert np.abs(aug.a_a[6:, :6]).max() == 0.0
+        assert np.abs(aug.a[:6, 6:]).max() == 0.0
+        assert np.abs(aug.a[6:, :6]).max() == 0.0
 
     def test_zero_hamiltonian_plant(self):
         theta = make_commutation_matrix(2)
@@ -212,8 +233,8 @@ class TestAssembleAugmented:
         aug = assemble_augmented(plant, obs)
         # free plant: the plant-plant block vanishes, coupling enters as
         # 2 theta_p r_c
-        assert np.abs(aug.a_a[:4, :4]).max() == 0.0
-        assert np.array_equal(aug.a_a[:4, 4:], 2.0 * theta @ obs.r_c)
+        assert np.abs(aug.a[:4, :4]).max() == 0.0
+        assert np.array_equal(aug.a[:4, 4:], 2.0 * theta @ obs.r_c)
 
     def test_dimension_mismatch(self, sixmode_system):
         _, dec, obs, _ = sixmode_system
