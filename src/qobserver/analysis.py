@@ -2,9 +2,10 @@
 
 The pair (Theta, R) of a plant determines which linear combinations of the
 system variables stay constant under the free dynamics: those spanned by
-the orthogonal complement of ``range([R, Theta R])``.  This module computes
-an orthogonal change of basis that isolates that span, and the block form
-of the plant matrices in the new coordinates.
+the orthogonal complement of ``range([R, Theta R])``, which is
+``ker R ∩ Theta ker R``.  This module computes, from one ``eigh`` of R, an
+orthogonal change of basis that isolates that span, and the block form of
+the plant matrices in the new coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import J, QuantumLinearSystem, _dynamics_pair, _rank_from_singular_values
+from .model import (J, RANK_TOL_SCALE, QuantumLinearSystem, _commutator_residual,
+                    _dynamics_pair)
 
 __all__ = [
     "DecomposedPlant",
@@ -80,15 +82,26 @@ def _pair_basis(theta: np.ndarray) -> np.ndarray:
 def _dynamics_basis(theta: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
     """Orthogonal P and rank n_p1 of [R, Theta R], fixed by (Theta, R) alone.
 
-    The column space of [R, Theta R] equals that of the full controllability
-    matrix of (Theta, R): multiplying by Theta twice only flips signs.
+    v is orthogonal to range [R, Theta R] exactly when R v = 0 and R Theta v = 0,
+    so the constant subspace is ker R ∩ Theta ker R.  With K an orthonormal
+    basis of ker R from ``eigh(R)`` and the skew ``S = K^T Theta K``, that
+    subspace is K times the eigenvectors of ``-S^2 = S^T S`` at eigenvalue 1
+    (the eigenvalues are at most 1).  P is the range eigenvectors of R, then
+    K times the eigenvectors of ``-S^2`` below 1, then K times those at 1,
+    paired.  Both thresholds are dimensionless: an eigenvalue of R counts as
+    zero within ``n RANK_TOL_SCALE`` of the largest in modulus, one of
+    ``-S^2`` as 1 within ``k RANK_TOL_SCALE`` of 1, for K of k columns.
     """
-    cr = np.hstack([r, theta @ r])
-    p, s, _ = np.linalg.svd(cr, full_matrices=False)
-    n_p1 = _rank_from_singular_values(s, cr.shape)
-    tail = p[:, n_p1:]
-    p[:, n_p1:] = tail @ _pair_basis(tail.T @ theta @ tail)
-    return p, n_p1
+    lam, v = np.linalg.eigh(r)
+    zero = np.abs(lam) <= r.shape[0] * RANK_TOL_SCALE * np.abs(lam).max()
+    kernel = v[:, zero]
+    s = kernel.T @ theta @ kernel
+    mu, w = np.linalg.eigh(s.T @ s)
+    kernel = kernel @ w
+    fixed = mu >= 1.0 - kernel.shape[1] * RANK_TOL_SCALE
+    tail = kernel[:, fixed]
+    p = np.hstack([v[:, ~zero], kernel[:, ~fixed], tail @ _pair_basis(tail.T @ theta @ tail)])
+    return p, p.shape[0] - tail.shape[1]
 
 
 def _decomposed(plant: QuantumLinearSystem, p: np.ndarray, n_p1: int,
@@ -117,13 +130,14 @@ def _decomposed(plant: QuantumLinearSystem, p: np.ndarray, n_p1: int,
 def decompose_plant(plant: QuantumLinearSystem) -> DecomposedPlant:
     """Decompose a plant into dynamical and constant coordinate blocks.
 
-    P is built from the SVD of [R_p, Theta_p R_p] (left singular vectors,
-    descending singular values), then the trailing columns are re-paired so
-    the constant block's commutation matrix is exactly diag(J, ..., J).
-    The block structure of the rotated matrices is a consequence of
+    P is built from one ``eigh`` of R_p and one of the Theta-coupling of its
+    kernel (see ``_dynamics_basis``); the trailing columns are paired so the
+    constant block's commutation matrix is exactly diag(J, ..., J).  This
+    basis of the constant block is one choice among unitarily equivalent
+    ones.  The block structure of the rotated matrices is a consequence of
     skew-symmetry/symmetry and is measured, not forced; see ``residuals``.
 
-    Fails only on dimension mismatch or SVD non-convergence.  A plant
+    Fails only on dimension mismatch or eigensolver non-convergence.  A plant
     violating the structural conditions decomposes fine; the violation
     shows up in ``residuals["c_zero_block"]``.
     """
@@ -134,11 +148,11 @@ def decompose_plant(plant: QuantumLinearSystem) -> DecomposedPlant:
 def transformed_condition_check(dec: DecomposedPlant) -> float:
     """Residual of the commuting-outputs condition in rotated coordinates.
 
-    Returns ``max |c_p2_tilde theta22 c_p2_tilde^T|``; at most the condition
-    tolerance exactly when the original plant satisfied ``C Theta C^T = 0``.
+    Returns ``max |c_i theta22 c_j^T|`` over the unit-norm rows ``c_i`` of
+    ``c_p2_tilde``, the measure ``check_plant_conditions`` judges ``C Theta C^T``
+    by; the two agree to rounding when the plant satisfies ``C [R, Theta R] = 0``.
     """
-    c2, th22 = dec.c_p2_tilde, dec.theta22
-    return float(np.abs(c2 @ th22 @ c2.T).max())
+    return _commutator_residual(dec.c_p2_tilde, dec.theta22)
 
 
 def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
@@ -150,7 +164,8 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
     constant-block coordinates (where the commuting-outputs condition is a
     sparsity pattern), and map it back with ``C_p = [0, c_p2_tilde] P^T``.
 
-    (Theta_p, R_p) pass the plant's own checks before they are factored.
+    (Theta_p, R_p) pass the plant's own checks once, before they are factored:
+    ``eigh`` reads one triangle of R_p, so an asymmetric R_p is refused first.
     Returns ``(plant, dec)`` where ``dec`` keeps the given output matrix
     verbatim, so designs stated in rotated coordinates are not polluted by
     the round trip through ``C_p``.
@@ -164,5 +179,5 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
             f"c_p2_tilde must have n_p2 = {n_p2} columns for this dynamics pair, "
             f"got {c_p2_tilde.shape}")
     c_p = np.hstack([np.zeros((c_p2_tilde.shape[0], n_p1)), c_p2_tilde]) @ p.T
-    plant = QuantumLinearSystem(theta=theta_p, r=r_p, c=c_p)
+    plant = QuantumLinearSystem._of_checked_pair(theta_p, r_p, c_p)
     return plant, _decomposed(plant, p, n_p1, c_p2_tilde)

@@ -33,10 +33,12 @@ J.setflags(write=False)
 
 # Symmetry of Hamiltonian matrices: |A - A^T|_max relative to |A|_max.
 SYMMETRY_TOL = 1e-12
-# Absolute max-norm tolerance for the structural plant conditions.
+# Max-norm tolerance for the structural plant conditions: absolute for
+# C [R, Theta R], on unit-norm output rows for C Theta C^T.
 CONDITION_TOL = 1e-9
 # Numerical rank: singular values below max_dim * sigma_max * RANK_TOL_SCALE
-# count as zero.
+# count as zero.  The decomposition's thresholds derive from it too (see
+# analysis._dynamics_basis).
 RANK_TOL_SCALE = 1e-12
 
 
@@ -66,12 +68,22 @@ def numerical_rank(a: np.ndarray) -> int:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    return _rank_from_singular_values(np.linalg.svd(a, compute_uv=False), a.shape)
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > s[0] * (max(a.shape) * RANK_TOL_SCALE)))
 
 
-def _rank_from_singular_values(s: np.ndarray, shape: tuple) -> int:
-    """Rank from the descending singular values `s` of a `shape` matrix."""
-    return int(np.count_nonzero(s > (s[0] if s.size else 0.0) * (max(shape) * RANK_TOL_SCALE)))
+def _commutator_residual(c: np.ndarray, theta: np.ndarray) -> float:
+    """``max |c_i Theta c_j^T|`` over the rows of ``c``, each scaled to unit norm.
+
+    Each row is first divided by its largest entry, so that its norm cannot
+    overflow.  A zero row stays zero: it commutes with everything, and the
+    rank check refuses it.
+    """
+    peak = np.abs(c).max(axis=1, initial=0.0)[:, None]
+    c = np.divide(c, peak, out=np.zeros_like(c), where=peak > 0)
+    norm = np.linalg.norm(c, axis=1)[:, None]
+    c = np.divide(c, norm, out=c, where=norm > 0)
+    return float(np.abs(c @ theta @ c.T).max())
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -135,13 +147,25 @@ class QuantumLinearSystem:
     c: np.ndarray
 
     def __post_init__(self):
-        theta, r = _dynamics_pair(self.theta, self.r)
+        self._store(*_dynamics_pair(self.theta, self.r))
+
+    def _store(self, theta: np.ndarray, r: np.ndarray) -> None:
+        """Check ``c`` against the checked pair ``(theta, r)``; store all three read-only."""
         c = _as_matrix(self.c, "c")
         n = theta.shape[0]
         if c.shape[1] != n or c.shape[0] < 1:
             raise ValueError(f"c must have {n} columns and at least one row, got {c.shape}")
         for name, arr in (("theta", theta), ("r", r), ("c", c)):
             object.__setattr__(self, name, _read_only(arr))
+
+    @classmethod
+    def _of_checked_pair(cls, theta: np.ndarray, r: np.ndarray, c) -> "QuantumLinearSystem":
+        """The system of a pair that ``_dynamics_pair`` has already passed:
+        only ``c`` is checked, so the dense ``theta @ theta`` is formed once."""
+        system = object.__new__(cls)
+        object.__setattr__(system, "c", c)
+        system._store(theta, r)
+        return system
 
     @property
     def n(self) -> int:
@@ -207,13 +231,16 @@ def check_plant_conditions(plant: QuantumLinearSystem, tol: float = CONDITION_TO
       checked through the finite equivalent ``C [R, Theta R] = 0``
       (because ``Theta^2 = -I``, vanishing of ``C Theta^k R`` for k = 0, 1
       implies it for every k, which is the transfer-function identity);
-    * ``C Theta C^T = 0``, i.e. the output variables commute;
+    * ``C Theta C^T = 0``, i.e. the output variables commute, judged on the
+      unit-norm rows of C, so that rescaling an output keeps the verdict;
     * ``C`` has full row rank m (numerical rank via SVD);
     * ``m <= n_p2 / 2`` where ``n_p2 = n - rank [R, Theta R]`` counts the
       variables that stay constant under the free plant dynamics.
 
     A caller that has decomposed the plant passes its ``n_p1`` as `rank_cr`,
-    so that a design factors ``[R, Theta R]`` once; otherwise it is ranked here.
+    so that a design ranks the dynamics once, in the decomposition's ``eigh``
+    of R; otherwise ``[R, Theta R]`` is ranked here by its singular values,
+    the paper-level reference.
     A `rank_cr` outside ``0..n`` raises ``ValueError``.
     """
     theta, r, c = plant.theta, plant.r, plant.c
@@ -225,7 +252,7 @@ def check_plant_conditions(plant: QuantumLinearSystem, tol: float = CONDITION_TO
     n_p2 = plant.n - rank_cr
 
     tf_residual = float(np.abs(c @ cr).max())
-    cjc_residual = float(np.abs(c @ theta @ c.T).max())
+    cjc_residual = _commutator_residual(c, theta)
     rank_c = numerical_rank(c)
 
     return ConditionReport(

@@ -144,13 +144,16 @@ class TrajectoryRecord:
     2m output rows ``[c; zo_selector] Phi(t_k)`` of the composite.  ``zo_avg[k]``
     is the running time average ``(1/t_k) integral_0^{t_k} zo_coeffs dt``
     (trapezoidal), with the t = 0 entry set to its continuous limit
-    ``zo_coeffs[0]``.
+    ``zo_coeffs[0]``.  ``reduction_residual`` bounds, to first order, how
+    far the rows can be from a propagation of all n coordinates (see
+    ``propagate``).
     """
 
     times: np.ndarray
     zp_coeffs: np.ndarray
     zo_coeffs: np.ndarray
     zo_avg: np.ndarray
+    reduction_residual: float
 
     @property
     def t_end(self) -> float:
@@ -166,12 +169,16 @@ class ConvergenceReport:
     averaged observer coefficients from the (constant) plant coefficients
     at the end of the horizon; ``decay_slope`` the least-squares slope of
     log(error) against log(T) over the trailing window (None when fewer
-    than 5 samples are available).
+    than 5 samples are available); ``reduction_residual`` the record's
+    first-order bound, in coefficient units, on how far the rows
+    ``propagate`` stepped in the composite's basis can be from a
+    propagation of all n coordinates over the grid.
     """
 
     zp_drift: float
     final_error: float
     decay_slope: float | None
+    reduction_residual: float
     passed: bool
 
 
@@ -199,27 +206,44 @@ def _check_record(points: float, m: int, n: int) -> None:
 def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     """Propagate the output rows of the composite system over a time grid.
 
-    Only the 2m output rows ``[c; zo_selector] Phi(t_k)`` are
-    carried, stepped by ``rows[k+1] = rows[k] e^{A h_k}``; this is exact
-    because the propagator commutes with its own steps.  Steps that agree
-    to 1e-9 of the largest step share one exponential, taken at their mean,
-    so a uniform grid costs one ``matrix_exponential`` and a grid with s
-    distinct steps costs s.  The running average of ``zo`` is trapezoidal.
+    Only the 2m output rows ``[c; zo_selector] Phi(t_k)`` are carried, and
+    only in ``aug.basis``: with B its orthonormal columns, rows in their span
+    stay there, so ``rows(t) B = rows(0) B e^{B^T A B t}`` is stepped by
+    ``B^T A B`` of size d, and the rows are mapped back once, by ``B^T``.
+    They start from ``rows_0 B B^T`` and leave out ``rows B B^T A (I - B B^T)``,
+    so to first order they are off the full propagation by at most the
+    record's ``reduction_residual``, ``|rows_0 (I - B B^T)|_2 + t_end
+    max_k |rows_k B|_F |B^T A (I - B B^T)|_2``, zero for an invariant span.
+    Stepping is exact because the propagator commutes with its own steps.
+    Steps that agree to 1e-9 of the largest step share one exponential,
+    taken at their mean, so a uniform grid costs one ``matrix_exponential``
+    and a grid with s distinct steps costs s.  Row 0 is exactly
+    ``[c; zo_selector]``.  The running average of ``zo`` is trapezoidal.
     Refuses, before it allocates, a record beyond ``MAX_RECORD_BYTES``.
     """
     times = _validate_grid(times)
     _check_record(times.size, aug.m, aug.n)
-    a = aug.a
-    rows = np.empty((times.size, 2 * aug.m, aug.n))
-    rows[0] = np.vstack([aug.c, aug.zo_selector])
-    zo = rows[:, aug.m:]
+    b, m = aug.basis, aug.m
+    leak = b.T @ aug.a
+    reduced_a = leak @ b
+    leak -= reduced_a @ b.T
+    selectors = np.vstack([aug.c, aug.zo_selector])
+    rows = np.empty((times.size, 2 * m, b.shape[1]))
+    rows[0] = selectors @ b
     steps = np.diff(times)
     if steps.size:
         _, group = np.unique(np.round(steps / steps.max(), 9), return_inverse=True)
         means = np.bincount(group, weights=steps) / np.bincount(group)
-        exps = [matrix_exponential(a * h) for h in means]
+        exps = [matrix_exponential(reduced_a * h) for h in means]
         for k, g in enumerate(group.tolist()):
             np.matmul(rows[k], exps[g], out=rows[k + 1])
+    largest_rows = np.sqrt(np.einsum("kij,kij->k", rows, rows).max())
+    reduction_residual = float(np.linalg.norm(selectors - rows[0] @ b.T, 2)
+                               + times[-1] * largest_rows * np.linalg.norm(leak, 2))
+    zp, zo = ((rows[:, part].reshape(-1, b.shape[1]) @ b.T).reshape(times.size, m, aug.n)
+              for part in (slice(None, m), slice(m, None)))
+    del rows  # so that the peak stays at the three record arrays
+    zp[0], zo[0] = aug.c, aug.zo_selector
     # cumulative_trapezoid's operations in its order, without temporaries
     zo_avg = np.empty_like(zo)
     zo_avg[0] = zo[0]
@@ -229,7 +253,8 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     tail /= 2.0
     np.cumsum(tail, axis=0, out=tail)
     tail /= times[1:, None, None]
-    return TrajectoryRecord(times=times, zp_coeffs=rows[:, :aug.m], zo_coeffs=zo, zo_avg=zo_avg)
+    return TrajectoryRecord(times=times, zp_coeffs=zp, zo_coeffs=zo, zo_avg=zo_avg,
+                            reduction_residual=reduction_residual)
 
 
 def _average_errors(zo_avg: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -251,9 +276,10 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
     [t_end/32, t_end]; the record must cover at least t_end = 10.
 
     ``passed`` requires the plant coefficients to have stayed constant to
-    ``DRIFT_TOL`` and the fitted slope to fall inside ``SLOPE_WINDOW``.
-    With fewer than 5 samples in the window the slope is None and
-    ``passed`` is false.
+    ``DRIFT_TOL``, the record's ``reduction_residual`` to be within
+    ``DRIFT_TOL`` and the fitted slope to fall inside ``SLOPE_WINDOW``.  With
+    fewer than 5 samples in the window the slope is None and ``passed`` is
+    false.
     """
     if rec.t_end < 10:
         raise ValueError(f"record must cover t_end >= 10, got {rec.t_end}")
@@ -274,10 +300,12 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
         y = np.log(np.maximum(errors[window], np.finfo(float).tiny))
         decay_slope = float(x @ y / (x @ x))
 
-    passed = (zp_drift <= DRIFT_TOL and decay_slope is not None
+    passed = (zp_drift <= DRIFT_TOL and rec.reduction_residual <= DRIFT_TOL
+              and decay_slope is not None
               and SLOPE_WINDOW[0] <= decay_slope <= SLOPE_WINDOW[1])
     return ConvergenceReport(zp_drift=zp_drift, final_error=final_error,
-                             decay_slope=decay_slope, passed=passed)
+                             decay_slope=decay_slope,
+                             reduction_residual=rec.reduction_residual, passed=passed)
 
 
 def predicted_average_error(obs: ObserverDesign, c_p, times) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from .analysis import DecomposedPlant
 from .model import (
     CONDITION_TOL,
+    RANK_TOL_SCALE,
     ConditionReport,
     QuantumLinearSystem,
     _as_matrix,
@@ -99,9 +100,18 @@ class AugmentedSystem(QuantumLinearSystem):
     ``theta = diag(theta_p, theta_o)``, ``r = [[r_p, r_c], [r_c^T, r_o]]`` and
     ``c = [c_p, 0]`` picks the plant outputs out of the composite variables;
     ``zo_selector = [0, c_o]``, of the shape of ``c``, picks the observer outputs.
+
+    ``basis`` is an n x d matrix with orthonormal columns whose span, as a
+    space of row vectors, should hold the output rows and be invariant under
+    ``A``; ``propagate`` steps the rows in it, and its record's
+    ``reduction_residual`` bounds the cost of any shortfall.  It defaults to
+    the identity.
+    ``assemble_augmented`` gives ``diag(Q, I_{n_o})`` with Q spanning the rows
+    of ``c_p``: d = m + n_o.
     """
 
     zo_selector: np.ndarray
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -109,7 +119,15 @@ class AugmentedSystem(QuantumLinearSystem):
         if zo_selector.shape != self.c.shape:
             raise ValueError(f"zo_selector must have the shape of c, {self.c.shape}, "
                              f"got {zo_selector.shape}")
+        basis = np.eye(self.n) if self.basis is None else _as_matrix(self.basis, "basis")
+        if basis.shape[0] != self.n or basis.shape[1] > self.n:
+            raise ValueError(f"basis must have {self.n} rows and at most as many columns, "
+                             f"got {basis.shape}")
+        if np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) > \
+                self.n * RANK_TOL_SCALE:
+            raise ValueError("basis columns must be orthonormal")
         object.__setattr__(self, "zo_selector", _read_only(zo_selector))
+        object.__setattr__(self, "basis", _read_only(basis))
 
 
 def _checked(name: str, a, shape: tuple) -> np.ndarray:
@@ -188,7 +206,13 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
 
 def assemble_augmented(plant: QuantumLinearSystem,
                        obs: ObserverDesign) -> AugmentedSystem:
-    """Stack plant and observer into the closed composite system."""
+    """Stack plant and observer into the closed composite system.
+
+    Its ``basis`` is ``diag(Q, I_{n_o})``, Q from a QR of ``C_p^T``.  The rows
+    it spans are invariant when the coupling is ``R_c = C_p^T beta^T`` and
+    ``C_p Theta_p R_p = 0``, ``C_p Theta_p C_p^T = 0``: then ``[C_p, 0] A = 0``
+    and ``[0, e] A = 2 [e Theta_o beta C_p, e Theta_o R_o]``.
+    """
     n_p, n_o, m = plant.n, obs.n_o, obs.m
     if obs.r_c.shape != (n_p, n_o):
         raise ValueError(f"coupling block must be {n_p}x{n_o}, got {obs.r_c.shape}")
@@ -199,4 +223,6 @@ def assemble_augmented(plant: QuantumLinearSystem,
                         [np.zeros((n_o, n_p)), obs.theta_o]]),
         r=np.block([[plant.r, obs.r_c], [obs.r_c.T, obs.r_o]]),
         c=np.hstack([plant.c, np.zeros((m, n_o))]),
-        zo_selector=np.hstack([np.zeros((m, n_p)), obs.c_o]))
+        zo_selector=np.hstack([np.zeros((m, n_p)), obs.c_o]),
+        basis=np.block([[np.linalg.qr(plant.c.T)[0], np.zeros((n_p, n_o))],
+                        [np.zeros((n_o, min(n_p, m))), np.eye(n_o)]]))

@@ -52,6 +52,13 @@ def ode_oracle(aug, t_end, dt=None):
     return times, rows[:, :aug.m], rows[:, aug.m:]
 
 
+def full_composite_rows(aug, times):
+    """``[c; zo_selector] expm(A t)`` at each of ``times``, with ``scipy.linalg.expm``
+    on all n coordinates of the composite, whatever basis ``propagate`` steps in."""
+    selectors = np.vstack([aug.c, aug.zo_selector])
+    return np.array([selectors @ scipy.linalg.expm(aug.a * t) for t in times])
+
+
 def pair_basis_reference(theta):
     """Orthogonal Q with Q^T theta Q = diag(J, ..., J) for skew theta^2 = -I.
 

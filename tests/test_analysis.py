@@ -13,9 +13,11 @@ from qobserver import (
     plant_from_transformed_output,
     transformed_condition_check,
 )
+from qobserver import analysis, model
 from qobserver.analysis import _pair_basis
+from qobserver.model import _dynamics_pair
 
-from conftest import random_valid_plant
+from conftest import random_passive_plant, random_valid_plant
 from oracles import pair_basis_reference
 
 
@@ -81,6 +83,19 @@ class TestControllabilitySpan:
             full = np.hstack([np.linalg.matrix_power(theta, k) @ r for k in range(n_p)])
             rank = np.linalg.matrix_rank(full)
             assert span_ranks(span_plant(theta, r)) == (rank, rank)
+
+    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+    def test_eigh_rank_equals_svd_rank_on_generated_plants(self, scale):
+        # the decomposition ranks by eigh(R); without rank_cr the condition
+        # check ranks [R, Theta R] by its singular values
+        rng = np.random.default_rng(29)
+        plants = [random_valid_plant(rng)[0] for _ in range(30)]
+        plants += [random_passive_plant(rng, n_modes, rank, m)[0]
+                   for n_modes, rank, m in ((3, 1, 1), (4, 2, 2), (6, 3, 2), (8, 2, 5))]
+        for plant in plants:
+            plant = QuantumLinearSystem(plant.theta, scale * plant.r, plant.c)
+            rank, n_p1 = span_ranks(plant)
+            assert rank == n_p1
 
 
 class TestDecomposePlant:
@@ -237,6 +252,20 @@ class TestPlantFromTransformedOutput:
             plant_from_transformed_output(theta, r, np.eye(2, 4))
         with pytest.raises(ValueError, match="r must be 6x6"):
             plant_from_transformed_output(theta, np.ones((4, 4)), np.eye(2, 4))
+
+    def test_dynamics_pair_is_checked_once(self, monkeypatch):
+        checks = []
+
+        def counted(theta, r):
+            checks.append(r)
+            return _dynamics_pair(theta, r)
+
+        monkeypatch.setattr(model, "_dynamics_pair", counted)
+        monkeypatch.setattr(analysis, "_dynamics_pair", counted)
+        plant, _ = plant_from_transformed_output(make_commutation_matrix(3), np.ones((6, 6)),
+                                                 np.eye(2, 4))
+        assert len(checks) == 1
+        assert plant.c.flags.writeable is False and plant.c.shape == (2, 6)
 
     def test_matches_decompose_plant(self):
         rng = np.random.default_rng(13)

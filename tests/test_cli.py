@@ -390,18 +390,24 @@ class TestCliCommands:
     @pytest.mark.parametrize("command", ["analyze", "synthesize", "simulate"])
     def test_each_command_factors_the_dynamics_span_once(
             self, fast_sixmode_path, tmp_path, monkeypatch, command):
-        svd, spans = np.linalg.svd, []
+        svd, eigh, spans, hamiltonians = np.linalg.svd, np.linalg.eigh, [], []
 
-        def counted(a, *args, **kwargs):
+        def counted_svd(a, *args, **kwargs):
             if np.shape(a)[1] == 12:  # [R, Theta R] of the six-mode plant
                 spans.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        def counted_eigh(a, *args, **kwargs):
+            if np.array_equal(a, np.ones((6, 6))):  # R of the six-mode plant
+                hamiltonians.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         out = {"analyze": [], "synthesize": [str(tmp_path / "obs.csv")],
                "simulate": [str(tmp_path / "run")]}[command]
         assert main([command, str(fast_sixmode_path), *out]) == 0
-        assert spans == [(6, 12)]
+        assert hamiltonians == [(6, 6)] and spans == []
 
     def test_synthesize_refuses_bad_plant(self, tmp_path):
         bad = PlantConfig(n_p=6, m=2, r_p=np.ones((6, 6)), c_p=np.eye(2, 6))

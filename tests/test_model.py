@@ -205,6 +205,24 @@ class TestPlantConditions:
         report = check_plant_conditions(scaled)
         assert report.tf_cond_ok and report.cjc_ok
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_commutator_is_judged_on_unit_rows(self, sixmode, scale):
+        # no overflow at any output scale; the verdict is that of scale 1
+        plant, dec = sixmode
+        scaled = QuantumLinearSystem(plant.theta, plant.r, scale * plant.c)
+        report = check_plant_conditions(scaled, rank_cr=dec.n_p1)
+        assert report.cjc_ok and report.residuals["cjc"] <= 1e-15
+        unit = plant.c / np.linalg.norm(plant.c, axis=1)[:, None]
+        assert report.residuals["cjc"] == pytest.approx(
+            np.abs(unit @ plant.theta @ unit.T).max(), abs=1e-16)
+
+    def test_zero_output_row_is_left_to_the_rank_check(self, sixmode):
+        plant, _ = sixmode
+        c = np.vstack([plant.c[:1], np.zeros((1, 6))])
+        report = check_plant_conditions(QuantumLinearSystem(plant.theta, plant.r, c))
+        assert report.cjc_ok and report.failing == ["rank"]
+
     def test_finite_check_equals_direct_powers(self):
         # ||C [R, Theta R]|| = 0 iff C Theta^k R = 0 for k = 0..3: because
         # Theta^2 = -I the k = 2, 3 terms are sign flips of k = 0, 1.

@@ -19,10 +19,10 @@ from qobserver import (
     time_average_error,
     time_grid,
 )
-from qobserver.simulation import _average_errors
+from qobserver.simulation import DRIFT_TOL, _average_errors
 
 from conftest import random_passive_plant, random_spd, random_valid_system
-from oracles import average_error_reference, ode_oracle
+from oracles import average_error_reference, full_composite_rows, ode_oracle
 
 
 def rotation(angle):
@@ -295,6 +295,42 @@ class TestPropagate:
             assert np.all(np.abs(rows - reference)
                           <= 1e-9 * np.maximum(1.0, np.abs(reference)))
 
+    @pytest.mark.parametrize("design", ["demo", "random", "passive", "decoupled", "given_r_o"])
+    def test_reduced_rows_match_full_composite(self, sixmode_system, design):
+        # the rows are stepped in the (m + n_o)-dimensional basis and mapped back
+        rng = np.random.default_rng(97)
+        plant, dec, obs, _ = sixmode_system
+        if design == "random":
+            plant, dec, obs, _ = random_valid_system(rng, n_modes=5, m=3)
+        elif design == "passive":  # C_p given in original coordinates
+            plant, dec = random_passive_plant(rng, 5, 2, 2)
+            obs = synthesize_observer(dec)
+        elif design == "decoupled":
+            obs = decoupled(obs)
+        elif design == "given_r_o":
+            obs = synthesize_observer(dec, r_o=random_spd(rng, 2))
+        aug = assemble_augmented(plant, obs)
+        assert aug.basis.shape == (aug.n, plant.m + obs.n_o)
+        times = time_grid(50.0, 0.01)
+        record = propagate(aug, times)
+        checkpoints = [0, 1, times.size // 2, times.size - 1]
+        reference = full_composite_rows(aug, times[checkpoints])
+        rows = np.concatenate([record.zp_coeffs[checkpoints], record.zo_coeffs[checkpoints]],
+                              axis=1)
+        assert np.all(np.abs(rows - reference) <= 1e-9 * np.maximum(1.0, np.abs(reference)))
+        assert time_average_error(record, aug).reduction_residual <= 1e-10
+
+    def test_direct_composite_steps_all_coordinates(self, sixmode_system):
+        *_, aug = sixmode_system
+        direct = AugmentedSystem(aug.theta, aug.r, aug.c, aug.zo_selector)
+        assert np.array_equal(direct.basis, np.eye(aug.n))
+        record = propagate(direct, MIXED_GRID)
+        reference = full_composite_rows(direct, MIXED_GRID)
+        assert np.abs(np.concatenate([record.zp_coeffs, record.zo_coeffs], axis=1)
+                      - reference).max() <= 1e-12
+        assert time_average_error(propagate(direct, time_grid(20.0, 0.01)),
+                                  direct).reduction_residual == 0.0
+
     def test_stepped_plant_outputs_hold_over_20000_steps(self, sixmode_system):
         # the odd/even split I + 2 (V - U)^-1 U keeps this below 1e-9;
         # solving (V - U) X = V + U drifts to about 2.3e-9
@@ -410,6 +446,23 @@ class TestTimeAverageError:
         target_norm = np.linalg.norm(aug.c)
         assert abs(report.final_error - target_norm) <= 0.1
         assert report.zp_drift <= 1e-10  # plant outputs still constant
+
+    def test_basis_that_is_not_invariant_fails_the_verdict(self, sixmode_system):
+        # tilt the first basis vector by 1e-8 towards the dynamical block: the
+        # outputs still look constant and decay, but the residual flags it
+        _, dec, _, aug = sixmode_system
+        basis = aug.basis.copy()
+        basis[:6, 0] += 1e-8 * dec.p[:, 0]
+        skewed = dataclasses.replace(aug, basis=np.linalg.qr(basis)[0])
+        times = time_grid(50.0, 0.01)
+        record = propagate(skewed, times)
+        report = time_average_error(record, skewed)
+        assert report.zp_drift <= DRIFT_TOL and -1.3 <= report.decay_slope <= -0.7
+        assert report.reduction_residual > DRIFT_TOL and not report.passed
+        # and it bounds how far the rows strayed
+        reference = full_composite_rows(skewed, times[-1:])[0]
+        rows = np.vstack([record.zp_coeffs[-1], record.zo_coeffs[-1]])
+        assert np.abs(rows - reference).max() <= report.reduction_residual
 
     def test_drift_is_largest_deviation(self, sixmode_system, sixmode_record):
         *_, aug = sixmode_system

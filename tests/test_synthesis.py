@@ -193,6 +193,16 @@ class TestAssembleAugmented:
         with pytest.raises(ValueError, match="zo_selector must have the shape of c"):
             AugmentedSystem(aug.theta, aug.r, aug.c, np.zeros(shape))
 
+    @pytest.mark.parametrize("basis, match", [
+        (np.eye(7, 4), "basis must have 8 rows"),
+        (np.eye(8, 9), "basis must have 8 rows"),
+        (2.0 * np.eye(8, 4), "orthonormal"),
+    ])
+    def test_rejects_malformed_basis(self, sixmode_system, basis, match):
+        *_, aug = sixmode_system
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(aug, basis=basis)
+
     def test_composite_is_validated_as_a_system(self, sixmode_system):
         *_, aug = sixmode_system
         asymmetric = aug.r.copy()
