@@ -164,7 +164,7 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
     constant-block coordinates (where the commuting-outputs condition is a
     sparsity pattern), and map it back with ``C_p = [0, c_p2_tilde] P^T``.
 
-    (Theta_p, R_p) pass the plant's own checks once, before they are factored:
+    (Theta_p, R_p) pass the plant's own checks before they are factored:
     ``eigh`` reads one triangle of R_p, so an asymmetric R_p is refused first.
     Returns ``(plant, dec)`` where ``dec`` keeps the given output matrix
     verbatim, so designs stated in rotated coordinates are not polluted by
@@ -179,5 +179,5 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
             f"c_p2_tilde must have n_p2 = {n_p2} columns for this dynamics pair, "
             f"got {c_p2_tilde.shape}")
     c_p = np.hstack([np.zeros((c_p2_tilde.shape[0], n_p1)), c_p2_tilde]) @ p.T
-    plant = QuantumLinearSystem._of_checked_pair(theta_p, r_p, c_p)
+    plant = QuantumLinearSystem(theta_p, r_p, c_p)
     return plant, _decomposed(plant, p, n_p1, c_p2_tilde)

@@ -43,19 +43,8 @@ RANK_TOL_SCALE = 1e-12
 
 
 def make_commutation_matrix(n_modes: int) -> np.ndarray:
-    """Build the canonical commutation matrix diag(J, ..., J).
-
-    Parameters
-    ----------
-    n_modes : int
-        Number of oscillator modes; the result is 2*n_modes square.
-
-    Returns
-    -------
-    ndarray
-        Read-only skew-symmetric matrix satisfying ``Theta @ Theta == -I``
-        exactly.
-    """
+    """The read-only canonical commutation matrix diag(J, ..., J) of ``n_modes``
+    oscillator modes, 2 n_modes square: the one form ``QuantumLinearSystem`` accepts."""
     if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
     theta = np.kron(np.eye(n_modes), J)
@@ -101,9 +90,7 @@ def _symmetric(a: np.ndarray) -> bool:
 
 
 def _dynamics_pair(theta, r) -> tuple[np.ndarray, np.ndarray]:
-    """``(theta, r)`` as the checked matrices of one closed system: theta
-    exactly canonical (block-J form), r of its size and symmetric relative
-    to its largest entry."""
+    """``(theta, r)`` checked: theta exactly diag(J, ..., J), r of its size and symmetric."""
     theta = _as_matrix(theta, "theta")
     r = _as_matrix(r, "r")
     n = theta.shape[0]
@@ -111,8 +98,9 @@ def _dynamics_pair(theta, r) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"theta must be square with even dimension, got {theta.shape}")
     if not np.array_equal(theta.T, -theta):
         raise ValueError("theta must be exactly skew-symmetric")
-    if not np.array_equal(theta @ theta, -np.eye(n)):
-        raise ValueError("theta must square to -I (canonical block-J form)")
+    # skew, so diag(J, ..., J) exactly when its n nonzeros are theta[2k, 2k+1] = 1
+    if np.count_nonzero(theta) != n or not np.all(np.diagonal(theta, 1)[::2] == 1.0):
+        raise ValueError("theta must be canonical, block diag(J, ..., J)")
     if r.shape != (n, n):
         raise ValueError(f"r must be {n}x{n}, got {r.shape}")
     if not _symmetric(r):
@@ -128,18 +116,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumLinearSystem:
-    """A closed linear quantum system (commutation matrix, Hamiltonian, output).
-
-    Attributes
-    ----------
-    theta : ndarray
-        n x n canonical commutation matrix, block diag(J, ..., J).
-    r : ndarray
-        n x n real symmetric Hamiltonian matrix (energy = 0.5 x^T R x).
-    c : ndarray
-        m x n output selector; the estimated variables are z = C x.
-
-    The arrays are stored as read-only copies.
+    """A closed linear quantum system, stored as read-only copies of: ``theta``,
+    the n x n commutation matrix, exactly block diag(J, ..., J) (any other form
+    is refused); ``r``, the n x n real symmetric Hamiltonian matrix (energy
+    0.5 x^T R x); and ``c``, the m x n output selector of the estimated z = C x.
     """
 
     theta: np.ndarray
@@ -147,25 +127,13 @@ class QuantumLinearSystem:
     c: np.ndarray
 
     def __post_init__(self):
-        self._store(*_dynamics_pair(self.theta, self.r))
-
-    def _store(self, theta: np.ndarray, r: np.ndarray) -> None:
-        """Check ``c`` against the checked pair ``(theta, r)``; store all three read-only."""
+        theta, r = _dynamics_pair(self.theta, self.r)
         c = _as_matrix(self.c, "c")
         n = theta.shape[0]
         if c.shape[1] != n or c.shape[0] < 1:
             raise ValueError(f"c must have {n} columns and at least one row, got {c.shape}")
         for name, arr in (("theta", theta), ("r", r), ("c", c)):
             object.__setattr__(self, name, _read_only(arr))
-
-    @classmethod
-    def _of_checked_pair(cls, theta: np.ndarray, r: np.ndarray, c) -> "QuantumLinearSystem":
-        """The system of a pair that ``_dynamics_pair`` has already passed:
-        only ``c`` is checked, so the dense ``theta @ theta`` is formed once."""
-        system = object.__new__(cls)
-        object.__setattr__(system, "c", c)
-        system._store(theta, r)
-        return system
 
     @property
     def n(self) -> int:

@@ -14,6 +14,7 @@ verifies the propagator lives in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +34,8 @@ __all__ = [
 # Convergence verdict: time averages decay like 1/T.
 DRIFT_TOL = 1e-6
 SLOPE_WINDOW = (-1.3, -0.7)
-# Largest array a grid may imply: its own times, or the record of zp, zo
-# and zo_avg that propagate allocates, 3 m (n_p + n_o) doubles per point.
+# Largest array a grid may imply: its own times, or the record's derived zp,
+# zo and zo_avg, 3 m (n_p + n_o) doubles per point.
 MAX_RECORD_BYTES = 2**30
 
 
@@ -139,25 +140,43 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
 class TrajectoryRecord:
     """Coefficient trajectories of the plant and observer outputs.
 
-    ``zp_coeffs[k]`` and ``zo_coeffs[k]`` are the m x (n_p + n_o)
-    coefficient matrices at ``times[k]``: the top and bottom halves of the
-    2m output rows ``[c; zo_selector] Phi(t_k)`` of the composite.  ``zo_avg[k]``
-    is the running time average ``(1/t_k) integral_0^{t_k} zo_coeffs dt``
-    (trapezoidal), with the t = 0 entry set to its continuous limit
-    ``zo_coeffs[0]``.  ``reduction_residual`` bounds, to first order, how
-    far the rows can be from a propagation of all n coordinates (see
-    ``propagate``).
+    Kept in the composite's ``basis`` B (n x d): ``rows[k]`` is ``[c; zo_selector]
+    Phi(t_k) B``, the 2m output rows in B's coordinates, and ``zo_avg_rows`` the
+    running average of their bottom m rows.  Derived on first read, then kept:
+    ``zp_coeffs[k]`` and ``zo_coeffs[k]``, the m x n halves of ``rows[k] B^T``
+    with row 0 exactly ``c`` and ``zo_selector``, and ``zo_avg[k]``, the average
+    ``(1/t_k) integral_0^{t_k} zo_coeffs dt``.  Averages are trapezoidal, at t = 0
+    their limit, the rows at 0.  ``reduction_residual`` bounds, to first order,
+    how far the rows can be from a propagation of all n coordinates.
     """
 
     times: np.ndarray
-    zp_coeffs: np.ndarray
-    zo_coeffs: np.ndarray
-    zo_avg: np.ndarray
+    basis: np.ndarray
+    rows: np.ndarray
+    zo_avg_rows: np.ndarray
+    c: np.ndarray
+    zo_selector: np.ndarray
     reduction_residual: float
 
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
+
+    @cached_property
+    def zp_coeffs(self) -> np.ndarray:
+        zp = _map_back(self.rows[:, :self.c.shape[0]], self.basis)
+        zp[0] = self.c
+        return zp
+
+    @cached_property
+    def zo_coeffs(self) -> np.ndarray:
+        zo = _map_back(self.rows[:, self.c.shape[0]:], self.basis)
+        zo[0] = self.zo_selector
+        return zo
+
+    @cached_property
+    def zo_avg(self) -> np.ndarray:
+        return _running_average(self.zo_coeffs, self.times)
 
 
 @dataclass(frozen=True)
@@ -170,9 +189,7 @@ class ConvergenceReport:
     at the end of the horizon; ``decay_slope`` the least-squares slope of
     log(error) against log(T) over the trailing window (None when fewer
     than 5 samples are available); ``reduction_residual`` the record's
-    first-order bound, in coefficient units, on how far the rows
-    ``propagate`` stepped in the composite's basis can be from a
-    propagation of all n coordinates over the grid.
+    (see ``propagate``).
     """
 
     zp_drift: float
@@ -203,13 +220,32 @@ def _check_record(points: float, m: int, n: int) -> None:
                          f"point would exceed MAX_RECORD_BYTES = {MAX_RECORD_BYTES / 2**30:g} GiB")
 
 
+def _map_back(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rows k x m x d in ``basis`` coordinates as k x m x n rows: one product by ``basis^T``."""
+    return (rows.reshape(-1, basis.shape[1]) @ basis.T).reshape(*rows.shape[:2], -1)
+
+
+def _running_average(z: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoidal ``(1/t_k) integral_0^{t_k} z dt``, entry 0 its limit ``z[0]``:
+    cumulative_trapezoid's operations in its order, without temporaries."""
+    avg = np.empty_like(z)
+    avg[0] = z[0]
+    tail = avg[1:]
+    np.add(z[1:], z[:-1], out=tail)
+    tail *= np.diff(times)[:, None, None]
+    tail /= 2.0
+    np.cumsum(tail, axis=0, out=tail)
+    tail /= times[1:, None, None]
+    return avg
+
+
 def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     """Propagate the output rows of the composite system over a time grid.
 
     Only the 2m output rows ``[c; zo_selector] Phi(t_k)`` are carried, and
     only in ``aug.basis``: with B its orthonormal columns, rows in their span
     stay there, so ``rows(t) B = rows(0) B e^{B^T A B t}`` is stepped by
-    ``B^T A B`` of size d, and the rows are mapped back once, by ``B^T``.
+    ``B^T A B`` of size d, and the record keeps them in B's coordinates.
     They start from ``rows_0 B B^T`` and leave out ``rows B B^T A (I - B B^T)``,
     so to first order they are off the full propagation by at most the
     record's ``reduction_residual``, ``|rows_0 (I - B B^T)|_2 + t_end
@@ -217,9 +253,9 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     Stepping is exact because the propagator commutes with its own steps.
     Steps that agree to 1e-9 of the largest step share one exponential,
     taken at their mean, so a uniform grid costs one ``matrix_exponential``
-    and a grid with s distinct steps costs s.  Row 0 is exactly
-    ``[c; zo_selector]``.  The running average of ``zo`` is trapezoidal.
-    Refuses, before it allocates, a record beyond ``MAX_RECORD_BYTES``.
+    and a grid with s distinct steps costs s.  Nothing n wide per grid point
+    is allocated.  Refuses, before it allocates, a grid whose derived
+    ``zp_coeffs``, ``zo_coeffs`` and ``zo_avg`` would exceed ``MAX_RECORD_BYTES``.
     """
     times = _validate_grid(times)
     _check_record(times.size, aug.m, aug.n)
@@ -240,28 +276,20 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     largest_rows = np.sqrt(np.einsum("kij,kij->k", rows, rows).max())
     reduction_residual = float(np.linalg.norm(selectors - rows[0] @ b.T, 2)
                                + times[-1] * largest_rows * np.linalg.norm(leak, 2))
-    zp, zo = ((rows[:, part].reshape(-1, b.shape[1]) @ b.T).reshape(times.size, m, aug.n)
-              for part in (slice(None, m), slice(m, None)))
-    del rows  # so that the peak stays at the three record arrays
-    zp[0], zo[0] = aug.c, aug.zo_selector
-    # cumulative_trapezoid's operations in its order, without temporaries
-    zo_avg = np.empty_like(zo)
-    zo_avg[0] = zo[0]
-    tail = zo_avg[1:]
-    np.add(zo[1:], zo[:-1], out=tail)
-    tail *= steps[:, None, None]
-    tail /= 2.0
-    np.cumsum(tail, axis=0, out=tail)
-    tail /= times[1:, None, None]
-    return TrajectoryRecord(times=times, zp_coeffs=zp, zo_coeffs=zo, zo_avg=zo_avg,
+    return TrajectoryRecord(times=times, basis=b, rows=rows,
+                            zo_avg_rows=_running_average(rows[:, m:], times),
+                            c=aug.c, zo_selector=aug.zo_selector,
                             reduction_residual=reduction_residual)
 
 
+# Elements per block of the verdict's temporaries, small next to any record.
+_BLOCK = 2**14
+
+
 def _average_errors(zo_avg: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``norm(zo_avg - target, axis=(1, 2))`` in blocks of about 2^15 elements,
-    so that its temporaries stay small next to the record."""
+    """``norm(zo_avg - target, axis=(1, 2))``, in blocks of about ``_BLOCK`` elements."""
     errors = np.empty(len(zo_avg))
-    rows = max(1, 2**15 // target.size)
+    rows = max(1, _BLOCK // target.size)
     for k in range(0, errors.size, rows):
         errors[k:k + rows] = np.linalg.norm(zo_avg[k:k + rows] - target, axis=(1, 2))
     return errors
@@ -283,12 +311,16 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
     """
     if rec.t_end < 10:
         raise ValueError(f"record must cover t_end >= 10, got {rec.t_end}")
-    # max |zp - zp[0]| from the column extremes: rounding is monotone
-    target = rec.zp_coeffs[0]
-    zp_drift = float(max((rec.zp_coeffs.max(axis=0) - target).max(),
-                         (target - rec.zp_coeffs.min(axis=0)).max()))
-
-    errors = _average_errors(rec.zo_avg, aug.c)
+    # max |zp_coeffs - c|, from blocks of the mapping that derives zp_coeffs
+    zp_drift, points = 0.0, max(1, _BLOCK // aug.c.size)
+    for k in range(1, rec.times.size, points):
+        block = _map_back(rec.rows[k:k + points, :aug.m], rec.basis)
+        block -= aug.c
+        zp_drift = float(np.maximum(zp_drift, np.abs(block, out=block).max()))
+    # rows B^T - c = (rows - c B) B^T - c (I - B B^T): orthogonal parts, |X B^T|_F = |X|_F
+    target = aug.c @ rec.basis
+    errors = _average_errors(rec.zo_avg_rows, target)
+    np.hypot(errors, np.linalg.norm(aug.c - target @ rec.basis.T), out=errors)
     final_error = float(errors[-1])
 
     window = (rec.times >= rec.t_end / 32) & (rec.times > 0)

@@ -14,7 +14,7 @@ from qobserver import (
     transformed_condition_check,
 )
 from qobserver import analysis, model
-from qobserver.analysis import _pair_basis
+from qobserver.analysis import _dynamics_basis, _pair_basis
 from qobserver.model import _dynamics_pair
 
 from conftest import random_passive_plant, random_valid_plant
@@ -253,18 +253,24 @@ class TestPlantFromTransformedOutput:
         with pytest.raises(ValueError, match="r must be 6x6"):
             plant_from_transformed_output(theta, np.ones((4, 4)), np.eye(2, 4))
 
-    def test_dynamics_pair_is_checked_once(self, monkeypatch):
-        checks = []
+    def test_dynamics_pair_is_checked_before_factoring_and_by_the_plant(self, monkeypatch):
+        # the pair check forms no n x n product, so the plant's constructor repeats it
+        events = []
 
         def counted(theta, r):
-            checks.append(r)
+            events.append("check")
             return _dynamics_pair(theta, r)
+
+        def factored(theta, r):
+            events.append("factor")
+            return _dynamics_basis(theta, r)
 
         monkeypatch.setattr(model, "_dynamics_pair", counted)
         monkeypatch.setattr(analysis, "_dynamics_pair", counted)
+        monkeypatch.setattr(analysis, "_dynamics_basis", factored)
         plant, _ = plant_from_transformed_output(make_commutation_matrix(3), np.ones((6, 6)),
                                                  np.eye(2, 4))
-        assert len(checks) == 1
+        assert events == ["check", "factor", "check"]
         assert plant.c.flags.writeable is False and plant.c.shape == (2, 6)
 
     def test_matches_decompose_plant(self):

@@ -119,8 +119,12 @@ class TestQuantumLinearSystem:
                 QuantumLinearSystem(theta, asymmetric, np.eye(1, r.shape[0]))
 
     def test_rejects_noncanonical_theta(self):
-        with pytest.raises(ValueError):
-            QuantumLinearSystem(2 * np.asarray(J), np.zeros((2, 2)), np.eye(1, 2))
+        # -J and the (q, p)-ordered form are skew with theta^2 = -I, but not diag(J, ..., J)
+        swapped = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+        for theta in (2 * np.asarray(J), -np.asarray(J), swapped):
+            n = theta.shape[0]
+            with pytest.raises(ValueError, match="canonical"):
+                QuantumLinearSystem(theta, np.zeros((n, n)), np.eye(1, n))
 
     def test_rejects_wrong_output_width(self):
         with pytest.raises(ValueError):

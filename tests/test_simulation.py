@@ -261,6 +261,21 @@ class TestPropagate:
         monkeypatch.setattr(simulation, "MAX_RECORD_BYTES", record_bytes)
         assert propagate(aug, times).zo_avg.shape == (times.size, aug.m, aug.n)
 
+    def test_allocates_no_full_width_array(self):
+        # a large_plant-shaped design: n_p = 200, m = 4, 2 001 points, d = 8
+        *_, aug = random_valid_system(np.random.default_rng(103), n_modes=100, m=4)
+        times = time_grid(20.0, 0.01)
+        tracemalloc.start()
+        try:
+            record = propagate(aug, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert aug.basis.shape == (204, 8)
+        assert peak < times.size * aug.m * aug.n * 8
+        assert record.zo_avg is record.zo_avg and record.zp_coeffs is record.zp_coeffs
+        assert record.zo_avg.shape == (times.size, aug.m, aug.n)
+
     def test_nonuniform_grid(self):
         aug = single_mode_system()
         times = np.array([0.0, 0.1, 0.25, 0.7, 1.3])
@@ -463,6 +478,37 @@ class TestTimeAverageError:
         reference = full_composite_rows(skewed, times[-1:])[0]
         rows = np.vstack([record.zp_coeffs[-1], record.zo_coeffs[-1]])
         assert np.abs(rows - reference).max() <= report.reduction_residual
+
+    @pytest.mark.parametrize("design", ["demo", "random", "passive", "decoupled", "direct"])
+    def test_verdict_from_basis_matches_derived_arrays(self, sixmode_system, sixmode_record,
+                                                       monkeypatch, design):
+        rng = np.random.default_rng(101)
+        plant, _, obs, aug = sixmode_system
+        systems = [aug]
+        if design == "random":
+            systems = [random_valid_system(rng)[3] for _ in range(3)]
+        elif design == "passive":
+            plant, dec = random_passive_plant(rng, 5, 2, 2)
+            systems = [assemble_augmented(plant, synthesize_observer(dec))]
+        elif design == "decoupled":
+            systems = [assemble_augmented(plant, decoupled(obs))]
+        elif design == "direct":  # identity basis
+            systems = [AugmentedSystem(aug.theta, aug.r, aug.c, aug.zo_selector)]
+        norms = []
+
+        def kept(zo_avg, target):
+            # the verdict finishes the error norms in the array this returns
+            norms.append(_average_errors(zo_avg, target))
+            return norms[-1]
+
+        monkeypatch.setattr(simulation, "_average_errors", kept)
+        for aug in systems:
+            rec = sixmode_record if design == "demo" else propagate(aug, time_grid(50.0, 0.01))
+            report = time_average_error(rec, aug)
+            assert report.zp_drift == np.abs(rec.zp_coeffs - rec.zp_coeffs[0]).max()
+            derived = np.linalg.norm(rec.zo_avg - aug.c, axis=(1, 2))
+            # relative to the curve's largest value: the demo's error crosses zero
+            assert np.abs(norms.pop() - derived).max() <= 1e-13 * derived.max()
 
     def test_drift_is_largest_deviation(self, sixmode_system, sixmode_record):
         *_, aug = sixmode_system
