@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (J, RANK_TOL_SCALE, QuantumLinearSystem, _commutator_residual,
+from .model import (J, QuantumLinearSystem, _commutator_residual, _dynamics_basis,
                     _dynamics_pair)
 
 __all__ = [
@@ -54,56 +54,6 @@ class DecomposedPlant:
     residuals: dict
 
 
-def _pair_basis(theta: np.ndarray) -> np.ndarray:
-    """Orthogonal Q with Q^T theta Q = diag(J, ..., J) for skew theta^2 = -I.
-
-    Greedy pairing: each unit vector u is paired with -theta u, which is a
-    unit vector orthogonal to u and to every previously paired plane
-    (theta-invariant subspaces have theta-invariant orthogonal complements).
-    u is the unit e_i farthest from the columns B built so far, projected
-    off them: ||(I - B B^T) e_i||^2 = 1 - ||B[i]||^2, so i is the row of B
-    of least norm.  Already-canonical input yields Q = I exactly.
-    """
-    n = theta.shape[0]
-    q = np.zeros((n, n))
-    for k in range(0, n, 2):
-        b = q[:, :k]
-        i = int(np.argmin(np.einsum("ij,ij->i", b, b)))
-        u = -(b @ b[i])
-        u[i] += 1.0
-        u /= np.linalg.norm(u)
-        v = -theta @ u
-        v -= b @ (b.T @ v)
-        v -= u * (u @ v)
-        q[:, k], q[:, k + 1] = u, v / np.linalg.norm(v)
-    return q
-
-
-def _dynamics_basis(theta: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthogonal P and rank n_p1 of [R, Theta R], fixed by (Theta, R) alone.
-
-    v is orthogonal to range [R, Theta R] exactly when R v = 0 and R Theta v = 0,
-    so the constant subspace is ker R ∩ Theta ker R.  With K an orthonormal
-    basis of ker R from ``eigh(R)`` and the skew ``S = K^T Theta K``, that
-    subspace is K times the eigenvectors of ``-S^2 = S^T S`` at eigenvalue 1
-    (the eigenvalues are at most 1).  P is the range eigenvectors of R, then
-    K times the eigenvectors of ``-S^2`` below 1, then K times those at 1,
-    paired.  Both thresholds are dimensionless: an eigenvalue of R counts as
-    zero within ``n RANK_TOL_SCALE`` of the largest in modulus, one of
-    ``-S^2`` as 1 within ``k RANK_TOL_SCALE`` of 1, for K of k columns.
-    """
-    lam, v = np.linalg.eigh(r)
-    zero = np.abs(lam) <= r.shape[0] * RANK_TOL_SCALE * np.abs(lam).max()
-    kernel = v[:, zero]
-    s = kernel.T @ theta @ kernel
-    mu, w = np.linalg.eigh(s.T @ s)
-    kernel = kernel @ w
-    fixed = mu >= 1.0 - kernel.shape[1] * RANK_TOL_SCALE
-    tail = kernel[:, fixed]
-    p = np.hstack([v[:, ~zero], kernel[:, ~fixed], tail @ _pair_basis(tail.T @ theta @ tail)])
-    return p, p.shape[0] - tail.shape[1]
-
-
 def _decomposed(plant: QuantumLinearSystem, p: np.ndarray, n_p1: int,
                 c_p2_tilde: np.ndarray) -> DecomposedPlant:
     """The blocks and residuals of ``plant`` in the basis ``p``."""
@@ -130,8 +80,8 @@ def _decomposed(plant: QuantumLinearSystem, p: np.ndarray, n_p1: int,
 def decompose_plant(plant: QuantumLinearSystem) -> DecomposedPlant:
     """Decompose a plant into dynamical and constant coordinate blocks.
 
-    P is built from one ``eigh`` of R_p and one of the Theta-coupling of its
-    kernel (see ``_dynamics_basis``); the trailing columns are paired so the
+    P is the plant's ``dynamics_basis``, built from one ``eigh`` of R_p and one
+    of the Theta-coupling of its kernel; the trailing columns are paired so the
     constant block's commutation matrix is exactly diag(J, ..., J).  This
     basis of the constant block is one choice among unitarily equivalent
     ones.  The block structure of the rotated matrices is a consequence of
@@ -141,7 +91,7 @@ def decompose_plant(plant: QuantumLinearSystem) -> DecomposedPlant:
     violating the structural conditions decomposes fine; the violation
     shows up in ``residuals["c_zero_block"]``.
     """
-    p, n_p1 = _dynamics_basis(plant.theta, plant.r)
+    p, n_p1 = plant.dynamics_basis
     return _decomposed(plant, p, n_p1, (plant.c @ p)[:, n_p1:])
 
 
@@ -166,6 +116,7 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
 
     (Theta_p, R_p) pass the plant's own checks before they are factored:
     ``eigh`` reads one triangle of R_p, so an asymmetric R_p is refused first.
+    The plant keeps that factorization as its ``dynamics_basis``.
     Returns ``(plant, dec)`` where ``dec`` keeps the given output matrix
     verbatim, so designs stated in rotated coordinates are not polluted by
     the round trip through ``C_p``.
@@ -180,4 +131,5 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
             f"got {c_p2_tilde.shape}")
     c_p = np.hstack([np.zeros((c_p2_tilde.shape[0], n_p1)), c_p2_tilde]) @ p.T
     plant = QuantumLinearSystem(theta_p, r_p, c_p)
+    plant.__dict__["dynamics_basis"] = p, n_p1  # the cached_property's slot: read, not refactored
     return plant, _decomposed(plant, p, n_p1, c_p2_tilde)

@@ -137,7 +137,7 @@ def _design(cfg: PlantConfig):
 def cmd_analyze(config_path, report_path=None, **overrides) -> RunReport:
     cfg = dataclasses.replace(load_config(config_path), **overrides)
     plant, dec = build_plant(cfg)
-    conditions = check_plant_conditions(plant, cfg.tol, rank_cr=dec.n_p1)
+    conditions = check_plant_conditions(plant, cfg.tol)
     report = RunReport(
         conditions=_conditions_dict(conditions),
         decomposition=_decomposition_dict(dec),
@@ -213,10 +213,12 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
     report.csv_files.append(str(out_dir / "report.json"))
     print(f"simulate {label}: t_end = {float(times[-1])}, dt = {cfg.dt}")
     print(f"  zp drift        {convergence.zp_drift:.3e}")
+    print(f"  reduction resid {convergence.reduction_residual:.3e}")
     print(f"  final avg error {convergence.final_error:.3e}")
     slope = convergence.decay_slope
     print(f"  decay slope     {'n/a' if slope is None else f'{slope:.3f}'}")
-    print(f"  convergence     {'PASS' if convergence.passed else 'FAIL'}")
+    failure = convergence.first_failure
+    print(f"  convergence     {'PASS' if failure is None else f'FAIL: {failure}'}")
     return report
 
 

@@ -21,7 +21,7 @@ from .analysis import decompose_plant, plant_from_transformed_output
 from .model import CONDITION_TOL, QuantumLinearSystem, make_commutation_matrix
 from .synthesis import _observer_order
 
-__all__ = ["ConfigError", "PlantConfig", "load_config", "save_config", "build_plant"]
+__all__ = ["ConfigError", "PlantConfig", "load_config", "build_plant"]
 
 FORMAT_VERSION = 1
 
@@ -112,20 +112,6 @@ def _matrix(name: str, values, shape: tuple | None = None) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def config_to_dict(cfg: PlantConfig) -> dict:
-    """JSON document of ``cfg``: each set matrix and each field off its default."""
-    doc = {"format_version": FORMAT_VERSION}
-    for field in fields(cfg):
-        value = getattr(cfg, field.name)
-        if isinstance(value, np.ndarray):
-            value = [float(v) for v in value.ravel()]
-        elif value == field.default:
-            continue
-        section = _SECTION_OF.get(field.name)
-        (doc.setdefault(section, {}) if section else doc)[field.name] = value
-    return doc
-
-
 def _json_object(where: str, doc, known) -> dict:
     """``doc``, once it is a JSON object whose keys are all ``known``."""
     if not isinstance(doc, dict):
@@ -137,7 +123,7 @@ def _json_object(where: str, doc, known) -> dict:
 
 
 def config_from_dict(doc: dict) -> PlantConfig:
-    """Inverse of ``config_to_dict``; an absent or null field takes its default."""
+    """The configuration of a parsed JSON document; an absent or null field takes its default."""
     _json_object("configuration root", doc, {"format_version", *SECTIONS} | {
         field.name for field in fields(PlantConfig) if field.name not in _SECTION_OF})
     version = doc.get("format_version")
@@ -167,10 +153,6 @@ def load_config(path) -> PlantConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return config_from_dict(doc)
-
-
-def save_config(cfg: PlantConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
 
 
 def build_plant(cfg: PlantConfig):

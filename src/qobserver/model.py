@@ -12,6 +12,7 @@ system, and so is the plant together with its directly coupled observer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +38,8 @@ SYMMETRY_TOL = 1e-12
 # C [R, Theta R], on unit-norm output rows for C Theta C^T.
 CONDITION_TOL = 1e-9
 # Numerical rank: singular values below max_dim * sigma_max * RANK_TOL_SCALE
-# count as zero.  The decomposition's thresholds derive from it too (see
-# analysis._dynamics_basis).
+# count as zero.  The thresholds of the dynamics basis derive from it too
+# (see _dynamics_basis).
 RANK_TOL_SCALE = 1e-12
 
 
@@ -108,6 +109,57 @@ def _dynamics_pair(theta, r) -> tuple[np.ndarray, np.ndarray]:
     return theta, r
 
 
+def _pair_basis(theta: np.ndarray) -> np.ndarray:
+    """Orthogonal Q with Q^T theta Q = diag(J, ..., J) for skew theta^2 = -I.
+
+    Greedy pairing: each unit vector u is paired with -theta u, which is a
+    unit vector orthogonal to u and to every previously paired plane
+    (theta-invariant subspaces have theta-invariant orthogonal complements).
+    u is the unit e_i farthest from the columns B built so far, projected
+    off them: ||(I - B B^T) e_i||^2 = 1 - ||B[i]||^2, so i is the row of B
+    of least norm.  Already-canonical input yields Q = I exactly.
+    """
+    n = theta.shape[0]
+    q = np.zeros((n, n))
+    for k in range(0, n, 2):
+        b = q[:, :k]
+        i = int(np.argmin(np.einsum("ij,ij->i", b, b)))
+        u = -(b @ b[i])
+        u[i] += 1.0
+        u /= np.linalg.norm(u)
+        v = -theta @ u
+        v -= b @ (b.T @ v)
+        v -= u * (u @ v)
+        q[:, k], q[:, k + 1] = u, v / np.linalg.norm(v)
+    return q
+
+
+def _dynamics_basis(theta: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthogonal P and rank n_p1 of [R, Theta R], fixed by (Theta, R) alone.
+
+    v is orthogonal to range [R, Theta R] exactly when R v = 0 and R Theta v = 0,
+    so the constant subspace is ker R ∩ Theta ker R.  With K an orthonormal
+    basis of ker R from ``eigh(R)`` and the skew ``S = K^T Theta K``, that
+    subspace is K times the eigenvectors of ``-S^2 = S^T S`` at eigenvalue 1
+    (the eigenvalues are at most 1).  P is the range eigenvectors of R, then
+    K times the eigenvectors of ``-S^2`` below 1, then K times those at 1,
+    paired.  Both thresholds are dimensionless: an eigenvalue of R counts as
+    zero within ``n RANK_TOL_SCALE`` of the largest in modulus, one of
+    ``-S^2`` as 1 within ``k RANK_TOL_SCALE`` of 1, for K of k columns.
+    """
+    lam, v = np.linalg.eigh(r)
+    zero = np.abs(lam) <= r.shape[0] * RANK_TOL_SCALE * np.abs(lam).max()
+    kernel = v[:, zero]
+    s = kernel.T @ theta @ kernel
+    mu, w = np.linalg.eigh(s.T @ s)
+    kernel = kernel @ w
+    fixed = mu >= 1.0 - kernel.shape[1] * RANK_TOL_SCALE
+    tail = kernel[:, fixed]
+    p = np.hstack([v[:, ~zero], kernel[:, ~fixed], tail @ _pair_basis(tail.T @ theta @ tail)])
+    p.setflags(write=False)
+    return p, p.shape[0] - tail.shape[1]
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.setflags(write=False)
@@ -144,6 +196,12 @@ class QuantumLinearSystem:
     def m(self) -> int:
         """Number of output variables."""
         return self.c.shape[0]
+
+    @cached_property
+    def dynamics_basis(self) -> tuple[np.ndarray, int]:
+        """``(P, n_p1)``, P orthogonal (read-only) with its first n_p1 = rank [R, Theta R]
+        columns spanning that range; factored on first read (``_dynamics_basis``) and kept."""
+        return _dynamics_basis(self.theta, self.r)
 
     @property
     def a(self) -> np.ndarray:
@@ -189,8 +247,8 @@ class ConditionReport:
         return not self.failing
 
 
-def check_plant_conditions(plant: QuantumLinearSystem, tol: float = CONDITION_TOL, *,
-                           rank_cr: int | None = None) -> ConditionReport:
+def check_plant_conditions(plant: QuantumLinearSystem,
+                           tol: float = CONDITION_TOL) -> ConditionReport:
     """Check the structural conditions for estimability of the plant outputs.
 
     The checks, with residuals measured in the element-wise max norm:
@@ -205,21 +263,15 @@ def check_plant_conditions(plant: QuantumLinearSystem, tol: float = CONDITION_TO
     * ``m <= n_p2 / 2`` where ``n_p2 = n - rank [R, Theta R]`` counts the
       variables that stay constant under the free plant dynamics.
 
-    A caller that has decomposed the plant passes its ``n_p1`` as `rank_cr`,
-    so that a design ranks the dynamics once, in the decomposition's ``eigh``
-    of R; otherwise ``[R, Theta R]`` is ranked here by its singular values,
-    the paper-level reference.
-    A `rank_cr` outside ``0..n`` raises ``ValueError``.
+    The rank is the plant's ``dynamics_basis`` rank n_p1, on which the
+    decomposition is built too: one factorization of (Theta, R) per plant.
     """
     theta, r, c = plant.theta, plant.r, plant.c
-    cr = np.hstack([r, theta @ r])
-    if rank_cr is None:
-        rank_cr = numerical_rank(cr)
-    elif not 0 <= rank_cr <= plant.n:
-        raise ValueError(f"rank_cr must lie in 0..{plant.n}, got {rank_cr}")
+    rank_cr = plant.dynamics_basis[1]
     n_p2 = plant.n - rank_cr
 
-    tf_residual = float(np.abs(c @ cr).max())
+    # max |[C R, C Theta R]|, from [C; C Theta] R with no n x n product
+    tf_residual = float(np.abs(np.vstack([c, c @ theta]) @ r).max())
     cjc_residual = _commutator_residual(c, theta)
     rank_c = numerical_rank(c)
 

@@ -13,7 +13,7 @@ verifies the propagator lives in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -198,6 +198,19 @@ class ConvergenceReport:
     reduction_residual: float
     passed: bool
 
+    @property
+    def first_failure(self) -> str | None:
+        """The first check ``passed`` requires that fails, with its value and bound."""
+        for name, value in (("zp_drift", self.zp_drift),
+                            ("reduction_residual", self.reduction_residual)):
+            if not value <= DRIFT_TOL:
+                return f"{name} {value:.3e} > DRIFT_TOL {DRIFT_TOL:g}"
+        slope = self.decay_slope
+        if slope is None or not SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]:
+            return (f"decay_slope {'n/a' if slope is None else f'{slope:.3f}'} "
+                    f"outside SLOPE_WINDOW {SLOPE_WINDOW}")
+        return None
+
 
 def _validate_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
@@ -332,12 +345,10 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
         y = np.log(np.maximum(errors[window], np.finfo(float).tiny))
         decay_slope = float(x @ y / (x @ x))
 
-    passed = (zp_drift <= DRIFT_TOL and rec.reduction_residual <= DRIFT_TOL
-              and decay_slope is not None
-              and SLOPE_WINDOW[0] <= decay_slope <= SLOPE_WINDOW[1])
-    return ConvergenceReport(zp_drift=zp_drift, final_error=final_error,
-                             decay_slope=decay_slope,
-                             reduction_residual=rec.reduction_residual, passed=passed)
+    report = ConvergenceReport(zp_drift=zp_drift, final_error=final_error,
+                               decay_slope=decay_slope,
+                               reduction_residual=rec.reduction_residual, passed=False)
+    return replace(report, passed=report.first_failure is None)
 
 
 def predicted_average_error(obs: ObserverDesign, c_p, times) -> np.ndarray:

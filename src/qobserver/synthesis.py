@@ -166,7 +166,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     """
     if r_o is not None and omega != 1.0:
         raise ValueError(f"omega = {omega:g} scales the default r_o only; r_o is given")
-    report = check_plant_conditions(dec.source, condition_tol, rank_cr=dec.n_p1)
+    report = check_plant_conditions(dec.source, condition_tol)
     if not report.all_ok:
         raise PlantConditionError(
             f"plant fails structural conditions {report.failing}; residuals {report.residuals}, "

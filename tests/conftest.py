@@ -1,4 +1,9 @@
-"""Shared fixtures: the bundled six-mode system, its record, and randomized valid plants."""
+"""Shared fixtures: the bundled six-mode system, its record, randomized valid plants,
+and configuration files written from a ``PlantConfig``."""
+
+import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +19,29 @@ from qobserver import (
     synthesize_observer,
     time_grid,
 )
-from qobserver.config import build_plant
+from qobserver.config import _SECTION_OF, FORMAT_VERSION, build_plant
 from qobserver.demo import sixmode_config
+
+from oracles import span_rank
+
+
+def config_to_dict(cfg):
+    """JSON document of ``cfg``: each set matrix and each field off its default."""
+    doc = {"format_version": FORMAT_VERSION}
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, np.ndarray):
+            value = [float(v) for v in value.ravel()]
+        elif value == field.default:
+            continue
+        section = _SECTION_OF.get(field.name)
+        (doc.setdefault(section, {}) if section else doc)[field.name] = value
+    return doc
+
+
+def save_config(cfg, path):
+    """Write ``cfg`` as a configuration file that ``load_config`` reads back."""
+    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
 
 
 @pytest.fixture(scope="session")
@@ -59,7 +85,7 @@ def random_valid_plant(rng, n_modes=None, m=None, r_scale=0.1, c_scale=0.5):
     g = rng.normal(size=(n_p, k))
     gram = g @ g.T
     r_p = r_scale * gram / np.linalg.norm(gram, 2)
-    n_p2 = n_p - numerical_rank(np.hstack([r_p, theta @ r_p]))
+    n_p2 = n_p - span_rank(theta, r_p)
     while True:
         w = rng.normal(size=(m, n_p2 // 2))
         if numerical_rank(w) == m:

@@ -59,6 +59,14 @@ def full_composite_rows(aug, times):
     return np.array([selectors @ scipy.linalg.expm(aug.a * t) for t in times])
 
 
+def span_rank(theta, r):
+    """rank [R, Theta R] by its singular values, counting those above
+    max_dim * sigma_max * 1e-12: the paper-level reference for the plant's n_p1."""
+    cr = np.hstack([r, theta @ r])
+    s = np.linalg.svd(cr, compute_uv=False)
+    return int(np.count_nonzero(s > s[0] * (max(cr.shape) * 1e-12)))
+
+
 def pair_basis_reference(theta):
     """Orthogonal Q with Q^T theta Q = diag(J, ..., J) for skew theta^2 = -I.
 

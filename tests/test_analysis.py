@@ -14,11 +14,10 @@ from qobserver import (
     transformed_condition_check,
 )
 from qobserver import analysis, model
-from qobserver.analysis import _dynamics_basis, _pair_basis
-from qobserver.model import _dynamics_pair
+from qobserver.model import _dynamics_basis, _dynamics_pair, _pair_basis
 
 from conftest import random_passive_plant, random_valid_plant
-from oracles import pair_basis_reference
+from oracles import pair_basis_reference, span_rank
 
 
 def sorted_imag(mat):
@@ -32,8 +31,8 @@ def span_plant(theta, r):
 
 
 def span_ranks(plant):
-    """rank [R, Theta R] as the condition check and the decomposition each see it."""
-    return check_plant_conditions(plant).rank_cr, decompose_plant(plant).n_p1
+    """rank [R, Theta R] by the reference SVD, and as the decomposition sees it."""
+    return span_rank(plant.theta, plant.r), decompose_plant(plant).n_p1
 
 
 def assert_in_dynamical_block(plant, cr):
@@ -86,8 +85,8 @@ class TestControllabilitySpan:
 
     @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
     def test_eigh_rank_equals_svd_rank_on_generated_plants(self, scale):
-        # the decomposition ranks by eigh(R); without rank_cr the condition
-        # check ranks [R, Theta R] by its singular values
+        # the plant ranks by eigh(R); the reference ranks [R, Theta R] by its
+        # singular values
         rng = np.random.default_rng(29)
         plants = [random_valid_plant(rng)[0] for _ in range(30)]
         plants += [random_passive_plant(rng, n_modes, rank, m)[0]
@@ -254,7 +253,8 @@ class TestPlantFromTransformedOutput:
             plant_from_transformed_output(theta, np.ones((4, 4)), np.eye(2, 4))
 
     def test_dynamics_pair_is_checked_before_factoring_and_by_the_plant(self, monkeypatch):
-        # the pair check forms no n x n product, so the plant's constructor repeats it
+        # the pair check forms no n x n product, so the plant's constructor repeats it;
+        # the factorization is the plant's, and the check and decomposition read it
         events = []
 
         def counted(theta, r):
@@ -268,9 +268,12 @@ class TestPlantFromTransformedOutput:
         monkeypatch.setattr(model, "_dynamics_pair", counted)
         monkeypatch.setattr(analysis, "_dynamics_pair", counted)
         monkeypatch.setattr(analysis, "_dynamics_basis", factored)
-        plant, _ = plant_from_transformed_output(make_commutation_matrix(3), np.ones((6, 6)),
-                                                 np.eye(2, 4))
+        monkeypatch.setattr(model, "_dynamics_basis", factored)
+        plant, dec = plant_from_transformed_output(make_commutation_matrix(3), np.ones((6, 6)),
+                                                   np.eye(2, 4))
+        assert check_plant_conditions(plant).rank_cr == decompose_plant(plant).n_p1 == 2
         assert events == ["check", "factor", "check"]
+        assert plant.dynamics_basis[0] is dec.p and dec.p.flags.writeable is False
         assert plant.c.flags.writeable is False and plant.c.shape == (2, 6)
 
     def test_matches_decompose_plant(self):

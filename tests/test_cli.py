@@ -34,14 +34,12 @@ from qobserver.config import (
     PlantConfig,
     build_plant,
     config_from_dict,
-    config_to_dict,
     load_config,
-    save_config,
 )
 from qobserver.demo import sixmode_config
 from qobserver.synthesis import EQ_CONSISTENCY_TOL
 
-from conftest import random_valid_plant
+from conftest import config_to_dict, random_valid_plant, save_config
 
 
 def read_trajectory_csv(path):
@@ -537,13 +535,29 @@ class TestCliCommands:
         assert main(["synthesize", path, str(flagged)]) == 0
         assert flagged.read_bytes() == plain.read_bytes()
 
-    def test_simulate_zero_coupling_fails_convergence(self, fast_sixmode_path, tmp_path):
+    def test_simulate_zero_coupling_fails_convergence(self, fast_sixmode_path, tmp_path,
+                                                      capsys):
         out_dir = tmp_path / "decoupled"
         code = main(["simulate", str(fast_sixmode_path), str(out_dir),
                      "--zero-coupling"])
         assert code == 1
         report = json.loads((out_dir / "report.json").read_text())
         assert not report["convergence"]["passed"]
+        # the averaged error does not decay; the verdict names that check
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("  convergence     FAIL: decay_slope ")
+        assert lines[-1].endswith(" outside SLOPE_WINDOW (-1.3, -0.7)")
+        residual = report["convergence"]["reduction_residual"]
+        assert f"  reduction resid {residual:.3e}" in lines
+
+    def test_simulate_prints_the_residual_of_a_passing_run(self, fast_sixmode_path, tmp_path,
+                                                           capsys):
+        assert main(["simulate", str(fast_sixmode_path), str(tmp_path / "run")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:18] for line in lines[1:]] == [
+            "  zp drift        ", "  reduction resid ", "  final avg error ",
+            "  decay slope     ", "  convergence     "]
+        assert lines[-1] == "  convergence     PASS"
 
     def test_exit_codes_deterministic(self, sixmode_path, tmp_path):
         a = main(["analyze", str(sixmode_path), "--report", str(tmp_path / "a.json")])
@@ -569,32 +583,63 @@ class TestCliCommands:
 
 
 class TestConditionsFromDecomposition:
-    """Designs judge the conditions from the decomposition's rank of [R, Theta R];
-    the verdicts equal those of the standalone check_plant_conditions."""
+    """The plant factors (Theta, R) once; the condition check and the decomposition
+    read that one factorization, and the verdicts of a design equal those of the
+    standalone check_plant_conditions."""
 
     @staticmethod
     def plants():
+        """``(plant, c_p2_tilde)``: the plant and its outputs in the rotated coordinates."""
         rng = np.random.default_rng(97)
-        valid = [random_valid_plant(rng)[0] for _ in range(20)]
+        valid = [(plant, dec.c_p2_tilde)
+                 for plant, dec in (random_valid_plant(rng) for _ in range(20))]
         six, six_dec = build_plant(sixmode_config())
         p2 = six_dec.p[:, 2:]
         # the q and p of one constant mode do not commute; four outputs exceed n_p2 / 2
         non_commuting = QuantumLinearSystem(six.theta, six.r, np.eye(2, 4) @ p2.T)
         too_many = QuantumLinearSystem(six.theta, six.r, p2.T)
-        return valid + [non_commuting, too_many]
+        return valid + [(non_commuting, np.eye(2, 4)), (too_many, np.eye(4))]
+
+    @staticmethod
+    def assert_design_judges_as(dec, reference):
+        if reference.all_ok:
+            assert synthesize_observer(dec).conditions == reference
+        else:
+            with pytest.raises(PlantConditionError, match=re.escape(
+                    f"{reference.failing}; residuals {reference.residuals}")):
+                synthesize_observer(dec)
+
+    def test_one_factorization_per_plant(self, monkeypatch):
+        # build_plant -> check_plant_conditions -> synthesize_observer, with the
+        # outputs given through c_p2_tilde and through c_p
+        eigh, svd, calls = np.linalg.eigh, np.linalg.svd, []
+
+        def counted_eigh(a, *args, **kwargs):
+            calls.append(("eigh", np.array(a)))
+            return eigh(a, *args, **kwargs)
+
+        def counted_svd(a, *args, **kwargs):
+            calls.append(("svd", np.shape(a)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        for plant, c2 in self.plants():
+            for outputs in ({"c_p2_tilde": c2}, {"c_p": plant.c}):
+                calls.clear()
+                built, dec = build_plant(PlantConfig(n_p=plant.n, m=plant.m, r_p=plant.r,
+                                                     **outputs))
+                self.assert_design_judges_as(dec, check_plant_conditions(built))
+                assert sum(kind == "eigh" and np.array_equal(a, built.r)
+                           for kind, a in calls) == 1
+                assert ("svd", (built.n, 2 * built.n)) not in calls
 
     def test_design_and_analyze_equal_the_reference_check(self, tmp_path):
         failing = 0
-        for i, plant in enumerate(self.plants()):
+        for i, (plant, _) in enumerate(self.plants()):
             reference = check_plant_conditions(plant)
-            dec = decompose_plant(plant)
-            if reference.all_ok:
-                assert synthesize_observer(dec).conditions == reference
-            else:
-                failing += 1
-                with pytest.raises(PlantConditionError, match=re.escape(
-                        f"{reference.failing}; residuals {reference.residuals}")):
-                    synthesize_observer(dec)
+            failing += not reference.all_ok
+            self.assert_design_judges_as(decompose_plant(plant), reference)
             path = tmp_path / f"plant{i}.json"
             save_config(PlantConfig(n_p=plant.n, m=plant.m, r_p=plant.r, c_p=plant.c), path)
             analyzed = cmd_analyze(path).conditions

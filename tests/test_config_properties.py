@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qobserver.config import ConfigError, PlantConfig, config_from_dict, config_to_dict
+from qobserver.config import ConfigError, PlantConfig, config_from_dict
+
+from conftest import config_to_dict
 
 # Derandomized and bounded, so that every run checks the same examples quickly.
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)

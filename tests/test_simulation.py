@@ -474,6 +474,7 @@ class TestTimeAverageError:
         report = time_average_error(record, skewed)
         assert report.zp_drift <= DRIFT_TOL and -1.3 <= report.decay_slope <= -0.7
         assert report.reduction_residual > DRIFT_TOL and not report.passed
+        assert report.first_failure.startswith("reduction_residual ")
         # and it bounds how far the rows strayed
         reference = full_composite_rows(skewed, times[-1:])[0]
         rows = np.vstack([record.zp_coeffs[-1], record.zo_coeffs[-1]])
