@@ -141,13 +141,13 @@ class TrajectoryRecord:
     """Coefficient trajectories of the plant and observer outputs.
 
     Kept in the composite's ``basis`` B (n x d): ``rows[k]`` is ``[c; zo_selector]
-    Phi(t_k) B``, the 2m output rows in B's coordinates, and ``zo_avg_rows`` the
-    running average of their bottom m rows.  Derived on first read, then kept:
-    ``zp_coeffs[k]`` and ``zo_coeffs[k]``, the m x n halves of ``rows[k] B^T``
-    with row 0 exactly ``c`` and ``zo_selector``, and ``zo_avg[k]``, the average
-    ``(1/t_k) integral_0^{t_k} zo_coeffs dt``.  Averages are trapezoidal, at t = 0
-    their limit, the rows at 0.  ``reduction_residual`` bounds, to first order,
-    how far the rows can be from a propagation of all n coordinates.
+    Phi(t_k) B``, the 2m output rows in B's coordinates, and ``zo_avg_rows[k]``
+    the trapezoidal ``(1/t_k) integral_0^{t_k}`` of their bottom m rows, at t = 0
+    its limit, the rows at 0.  Derived on first read, then kept: ``zp_coeffs``,
+    ``zo_coeffs`` and ``zo_avg``, the m x n rows ``rows[k, :m] B^T``,
+    ``rows[k, m:] B^T`` and ``zo_avg_rows[k] B^T``, row 0 exactly ``c``,
+    ``zo_selector`` and ``zo_selector``.  ``reduction_residual`` bounds, to
+    first order, how far the rows can be from a propagation of all n coordinates.
     """
 
     times: np.ndarray
@@ -164,32 +164,28 @@ class TrajectoryRecord:
 
     @cached_property
     def zp_coeffs(self) -> np.ndarray:
-        zp = _map_back(self.rows[:, :self.c.shape[0]], self.basis)
-        zp[0] = self.c
-        return zp
+        return _map_back(self.rows[:, :self.c.shape[0]], self.basis, self.c)
 
     @cached_property
     def zo_coeffs(self) -> np.ndarray:
-        zo = _map_back(self.rows[:, self.c.shape[0]:], self.basis)
-        zo[0] = self.zo_selector
-        return zo
+        return _map_back(self.rows[:, self.c.shape[0]:], self.basis, self.zo_selector)
 
     @cached_property
     def zo_avg(self) -> np.ndarray:
-        return _running_average(self.zo_coeffs, self.times)
+        return _map_back(self.zo_avg_rows, self.basis, self.zo_selector)
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Diagnostics of time-averaged output convergence.
 
-    ``zp_drift`` is the worst excursion of any plant output coefficient
-    from its initial value; ``final_error`` the Frobenius distance of the
-    averaged observer coefficients from the (constant) plant coefficients
-    at the end of the horizon; ``decay_slope`` the least-squares slope of
-    log(error) against log(T) over the trailing window (None when fewer
-    than 5 samples are available); ``reduction_residual`` the record's
-    (see ``propagate``).
+    ``zp_drift`` is the largest Frobenius distance over the grid of the plant
+    output coefficients from their initial value ``[C_p, 0]``, so at least
+    their largest excursion in any one entry; ``final_error`` that of the
+    averaged observer coefficients at the end of the horizon; ``decay_slope``
+    the least-squares slope of log(error) against log(T) over the trailing
+    window (None when fewer than 5 samples are available);
+    ``reduction_residual`` the record's (see ``propagate``).
     """
 
     zp_drift: float
@@ -233,9 +229,11 @@ def _check_record(points: float, m: int, n: int) -> None:
                          f"point would exceed MAX_RECORD_BYTES = {MAX_RECORD_BYTES / 2**30:g} GiB")
 
 
-def _map_back(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Rows k x m x d in ``basis`` coordinates as k x m x n rows: one product by ``basis^T``."""
-    return (rows.reshape(-1, basis.shape[1]) @ basis.T).reshape(*rows.shape[:2], -1)
+def _map_back(rows: np.ndarray, basis: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Rows k x m x d in ``basis`` coordinates as k x m x n rows, row 0 exactly ``first``."""
+    back = (rows.reshape(-1, basis.shape[1]) @ basis.T).reshape(*rows.shape[:2], -1)
+    back[0] = first
+    return back
 
 
 def _running_average(z: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -299,22 +297,23 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
 _BLOCK = 2**14
 
 
-def _average_errors(zo_avg: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``norm(zo_avg - target, axis=(1, 2))``, in blocks of about ``_BLOCK`` elements."""
-    errors = np.empty(len(zo_avg))
-    rows = max(1, _BLOCK // target.size)
-    for k in range(0, errors.size, rows):
-        errors[k:k + rows] = np.linalg.norm(zo_avg[k:k + rows] - target, axis=(1, 2))
-    return errors
+def _distances(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``norm(rows - target, axis=(1, 2))``, in blocks of about ``_BLOCK`` elements."""
+    distances = np.empty(len(rows))
+    points = max(1, _BLOCK // target.size)
+    for k in range(0, distances.size, points):
+        distances[k:k + points] = np.linalg.norm(rows[k:k + points] - target, axis=(1, 2))
+    return distances
 
 
 def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> ConvergenceReport:
     """Measure time-averaged convergence of observer outputs to plant outputs.
 
     The target of the averaged observer coefficients is the constant plant
-    coefficient matrix ``[C_p, 0]``.  The decay slope is fitted by least
-    squares on (log T, log error) over all grid times in
-    [t_end/32, t_end]; the record must cover at least t_end = 10.
+    coefficient matrix ``[C_p, 0]``; drift and error are Frobenius distances
+    from it, read from the rows in the record's basis, never n wide.  The decay
+    slope is fitted by least squares on (log T, log error) over all grid times
+    in [t_end/32, t_end]; the record must cover at least t_end = 10.
 
     ``passed`` requires the plant coefficients to have stayed constant to
     ``DRIFT_TOL``, the record's ``reduction_residual`` to be within
@@ -324,16 +323,11 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
     """
     if rec.t_end < 10:
         raise ValueError(f"record must cover t_end >= 10, got {rec.t_end}")
-    # max |zp_coeffs - c|, from blocks of the mapping that derives zp_coeffs
-    zp_drift, points = 0.0, max(1, _BLOCK // aug.c.size)
-    for k in range(1, rec.times.size, points):
-        block = _map_back(rec.rows[k:k + points, :aug.m], rec.basis)
-        block -= aug.c
-        zp_drift = float(np.maximum(zp_drift, np.abs(block, out=block).max()))
-    # rows B^T - c = (rows - c B) B^T - c (I - B B^T): orthogonal parts, |X B^T|_F = |X|_F
+    # X B^T - c = (X - c B) B^T - c (I - B B^T): orthogonal parts, |Y B^T|_F = |Y|_F
     target = aug.c @ rec.basis
-    errors = _average_errors(rec.zo_avg_rows, target)
-    np.hypot(errors, np.linalg.norm(aug.c - target @ rec.basis.T), out=errors)
+    offset = np.linalg.norm(aug.c - target @ rec.basis.T)
+    zp_drift = float(np.hypot(_distances(rec.rows[:, :aug.m], target).max(), offset))
+    errors = np.hypot(_distances(rec.zo_avg_rows, target), offset)
     final_error = float(errors[-1])
 
     window = (rec.times >= rec.t_end / 32) & (rec.times > 0)

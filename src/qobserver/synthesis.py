@@ -101,7 +101,7 @@ class AugmentedSystem(QuantumLinearSystem):
     ``c = [c_p, 0]`` picks the plant outputs out of the composite variables;
     ``zo_selector = [0, c_o]``, of the shape of ``c``, picks the observer outputs.
 
-    ``basis`` is an n x d matrix with orthonormal columns whose span, as a
+    ``basis`` is an n x d matrix, d >= 1, with orthonormal columns whose span, as a
     space of row vectors, should hold the output rows and be invariant under
     ``A``; ``propagate`` steps the rows in it, and its record's
     ``reduction_residual`` bounds the cost of any shortfall.  It defaults to
@@ -120,8 +120,8 @@ class AugmentedSystem(QuantumLinearSystem):
             raise ValueError(f"zo_selector must have the shape of c, {self.c.shape}, "
                              f"got {zo_selector.shape}")
         basis = np.eye(self.n) if self.basis is None else _as_matrix(self.basis, "basis")
-        if basis.shape[0] != self.n or basis.shape[1] > self.n:
-            raise ValueError(f"basis must have {self.n} rows and at most as many columns, "
+        if basis.shape[0] != self.n or not 0 < basis.shape[1] <= self.n:
+            raise ValueError(f"basis must have {self.n} rows and 1 to {self.n} columns, "
                              f"got {basis.shape}")
         if np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) > \
                 self.n * RANK_TOL_SCALE:

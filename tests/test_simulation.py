@@ -19,7 +19,7 @@ from qobserver import (
     time_average_error,
     time_grid,
 )
-from qobserver.simulation import DRIFT_TOL, _average_errors
+from qobserver.simulation import DRIFT_TOL, _distances
 
 from conftest import random_passive_plant, random_spd, random_valid_system
 from oracles import average_error_reference, full_composite_rows, ode_oracle
@@ -57,6 +57,11 @@ def trapezoid_bias_bound(obs, times):
         return np.minimum(h**2 * b[2] / 12, h**2 * b[1] / (6 * times) + h**4 * b[4] / 720)
 
 
+def frobenius_drift(rec):
+    """``max_k |zp_coeffs[k] - c|_F``, from the derived original-coordinate rows."""
+    return np.linalg.norm(rec.zp_coeffs - rec.c, axis=(1, 2)).max()
+
+
 def decoupled(obs):
     """The design with its coupling Hamiltonian removed."""
     return dataclasses.replace(obs, r_c=np.zeros_like(obs.r_c),
@@ -65,6 +70,9 @@ def decoupled(obs):
 
 # Round-off of the propagated rows, 5e-10 over T = 200, on top of the bias.
 ROUNDOFF = 1e-9
+# The verdict's drift, from the basis split, and the drift of the derived
+# rows round differently: by at most 1.3e-16 on the designs tested here.
+DRIFT_ROUNDOFF = 1e-15
 
 
 # 0, 0.1, ..., 1.0 then 1.25, ..., 3.0: two distinct step sizes
@@ -362,10 +370,13 @@ class TestPropagate:
     def test_average_is_cumulative_trapezoid(self, sixmode_system, sixmode_record, grid):
         *_, aug = sixmode_system
         record = sixmode_record if grid == "sixmode" else propagate(aug, MIXED_GRID)
-        t = record.times
-        reference = cumulative_trapezoid(record.zo_coeffs, t, axis=0, initial=0)
-        assert np.array_equal(record.zo_avg[1:], reference[1:] / t[1:, None, None])
-        assert np.array_equal(record.zo_avg[0], record.zo_coeffs[0])
+        t, m = record.times, aug.m
+        reference = cumulative_trapezoid(record.rows[:, m:], t, axis=0, initial=0)
+        assert np.array_equal(record.zo_avg_rows[1:], reference[1:] / t[1:, None, None])
+        assert np.array_equal(record.zo_avg_rows[0], record.rows[0, m:])
+        # the original-coordinate average is the map-back of the one in the basis
+        assert np.array_equal(record.zo_avg[1:], record.zo_avg_rows[1:] @ record.basis.T)
+        assert np.array_equal(record.zo_avg[0], aug.zo_selector)
 
     def test_commutation_and_energy_preserved_on_grid(self):
         # step-and-square propagation keeps both quadratic invariants
@@ -413,7 +424,7 @@ class TestTimeAverageError:
         expected = np.linalg.norm(zo_avg - aug.c, axis=(1, 2))
         tracemalloc.start()
         try:
-            errors = _average_errors(zo_avg, aug.c)
+            errors = _distances(zo_avg, aug.c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -495,26 +506,62 @@ class TestTimeAverageError:
             systems = [assemble_augmented(plant, decoupled(obs))]
         elif design == "direct":  # identity basis
             systems = [AugmentedSystem(aug.theta, aug.r, aug.c, aug.zo_selector)]
-        norms = []
+        calls = []
 
-        def kept(zo_avg, target):
-            # the verdict finishes the error norms in the array this returns
-            norms.append(_average_errors(zo_avg, target))
-            return norms[-1]
+        def kept(rows, target):
+            # the verdict finishes the error norms from the array this returns
+            calls.append((rows, _distances(rows, target)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(simulation, "_average_errors", kept)
+        monkeypatch.setattr(simulation, "_distances", kept)
         for aug in systems:
             rec = sixmode_record if design == "demo" else propagate(aug, time_grid(50.0, 0.01))
             report = time_average_error(rec, aug)
-            assert report.zp_drift == np.abs(rec.zp_coeffs - rec.zp_coeffs[0]).max()
+            assert abs(report.zp_drift - frobenius_drift(rec)) <= DRIFT_ROUNDOFF
+            curve = [norms for rows, norms in calls if rows is rec.zo_avg_rows]
+            calls.clear()
+            assert len(curve) == 1
             derived = np.linalg.norm(rec.zo_avg - aug.c, axis=(1, 2))
             # relative to the curve's largest value: the demo's error crosses zero
-            assert np.abs(norms.pop() - derived).max() <= 1e-13 * derived.max()
+            assert np.abs(curve[0] - derived).max() <= 1e-13 * derived.max()
 
     def test_drift_is_largest_deviation(self, sixmode_system, sixmode_record):
         *_, aug = sixmode_system
-        zp = sixmode_record.zp_coeffs
-        assert time_average_error(sixmode_record, aug).zp_drift == np.abs(zp - zp[0]).max()
+        drift = time_average_error(sixmode_record, aug).zp_drift
+        assert abs(drift - frobenius_drift(sixmode_record)) <= DRIFT_ROUNDOFF
+
+    def test_drift_fails_a_plant_output_that_moves(self, sixmode_system):
+        # give the first plant output a 1e-3 component along a row x with
+        # x A != 0: the output is no longer constant, and the drift says so
+        *_, aug = sixmode_system
+        x = np.eye(1, aug.n)[0]
+        assert np.abs(x @ aug.a).max() > 0.1
+        c = aug.c.copy()
+        c[0] += 1e-3 * x
+        leaky = AugmentedSystem(aug.theta, aug.r, c, aug.zo_selector)
+        rec = propagate(leaky, time_grid(20.0, 0.01))
+        report = time_average_error(rec, leaky)
+        assert report.reduction_residual == 0.0
+        assert report.first_failure.startswith("zp_drift ")
+        assert abs(report.zp_drift - frobenius_drift(rec)) <= 1e-12 * report.zp_drift
+        assert report.zp_drift >= np.abs(rec.zp_coeffs - c).max() > DRIFT_TOL
+
+    @pytest.mark.parametrize("design", ["demo", "204_wide"])
+    def test_verdict_reads_nothing_n_wide(self, sixmode_system, monkeypatch, design):
+        aug = sixmode_system[3]
+        if design == "204_wide":
+            aug = random_valid_system(np.random.default_rng(5), n_modes=100, m=4)[3]
+            assert aug.n == 204
+        rec = propagate(aug, time_grid(50.0, 0.01))
+
+        def refuse(*args):
+            raise AssertionError("the verdict mapped rows back to original coordinates")
+
+        monkeypatch.setattr(simulation, "_map_back", refuse)
+        report = time_average_error(rec, aug)
+        assert not {"zp_coeffs", "zo_coeffs", "zo_avg"} & vars(rec).keys()
+        monkeypatch.undo()
+        assert time_average_error(rec, aug) == report
 
     def test_requires_minimum_horizon(self, sixmode_system):
         *_, aug = sixmode_system

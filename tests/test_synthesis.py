@@ -197,6 +197,7 @@ class TestAssembleAugmented:
         (np.eye(7, 4), "basis must have 8 rows"),
         (np.eye(8, 9), "basis must have 8 rows"),
         (2.0 * np.eye(8, 4), "orthonormal"),
+        (np.zeros((8, 0)), "basis must have 8 rows and 1 to 8 columns"),
     ])
     def test_rejects_malformed_basis(self, sixmode_system, basis, match):
         *_, aug = sixmode_system
