@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (J, QuantumLinearSystem, _commutator_residual, _dynamics_basis,
-                    _dynamics_pair)
+                    _dynamics_pair, _times_theta)
 
 __all__ = [
     "DecomposedPlant",
@@ -59,7 +59,7 @@ def _decomposed(plant: QuantumLinearSystem, p: np.ndarray, n_p1: int,
     """The blocks and residuals of ``plant`` in the basis ``p``."""
     n = p.shape[0]
     n_p2 = n - n_p1
-    theta_t = p.T @ plant.theta @ p
+    theta_t = _times_theta(p.T) @ p
     r_t = p.T @ plant.r @ p
     # The constant-subspace basis was built to realize the canonical form;
     # store it exactly rather than with the ~1e-15 dirt of the product.
@@ -102,7 +102,7 @@ def transformed_condition_check(dec: DecomposedPlant) -> float:
     ``c_p2_tilde``, the measure ``check_plant_conditions`` judges ``C Theta C^T``
     by; the two agree to rounding when the plant satisfies ``C [R, Theta R] = 0``.
     """
-    return _commutator_residual(dec.c_p2_tilde, dec.theta22)
+    return _commutator_residual(dec.c_p2_tilde)
 
 
 def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
@@ -123,7 +123,7 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
     """
     theta_p, r_p = _dynamics_pair(theta_p, r_p)
     c_p2_tilde = np.atleast_2d(np.asarray(c_p2_tilde, dtype=float))
-    p, n_p1 = _dynamics_basis(theta_p, r_p)
+    p, n_p1 = _dynamics_basis(r_p)
     n_p2 = p.shape[0] - n_p1
     if c_p2_tilde.shape[1] != n_p2:
         raise ValueError(

@@ -62,7 +62,14 @@ def numerical_rank(a: np.ndarray) -> int:
     return int(np.count_nonzero(s > s[0] * (max(a.shape) * RANK_TOL_SCALE)))
 
 
-def _commutator_residual(c: np.ndarray, theta: np.ndarray) -> float:
+def _times_theta(x: np.ndarray) -> np.ndarray:
+    """``x @ Theta`` for the canonical Theta of x's width, as the signed column swap it is."""
+    y = np.empty(x.shape)
+    y[:, 0::2], y[:, 1::2] = -x[:, 1::2], x[:, 0::2]
+    return y
+
+
+def _commutator_residual(c: np.ndarray) -> float:
     """``max |c_i Theta c_j^T|`` over the rows of ``c``, each scaled to unit norm.
 
     Each row is first divided by its largest entry, so that its norm cannot
@@ -73,7 +80,7 @@ def _commutator_residual(c: np.ndarray, theta: np.ndarray) -> float:
     c = np.divide(c, peak, out=np.zeros_like(c), where=peak > 0)
     norm = np.linalg.norm(c, axis=1)[:, None]
     c = np.divide(c, norm, out=c, where=norm > 0)
-    return float(np.abs(c @ theta @ c.T).max())
+    return float(np.abs(_times_theta(c) @ c.T).max())
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -134,8 +141,8 @@ def _pair_basis(theta: np.ndarray) -> np.ndarray:
     return q
 
 
-def _dynamics_basis(theta: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
-    """Orthogonal P and rank n_p1 of [R, Theta R], fixed by (Theta, R) alone.
+def _dynamics_basis(r: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthogonal P and rank n_p1 of [R, Theta R], fixed by R and the canonical Theta.
 
     v is orthogonal to range [R, Theta R] exactly when R v = 0 and R Theta v = 0,
     so the constant subspace is ker R ∩ Theta ker R.  With K an orthonormal
@@ -150,12 +157,13 @@ def _dynamics_basis(theta: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, int]:
     lam, v = np.linalg.eigh(r)
     zero = np.abs(lam) <= r.shape[0] * RANK_TOL_SCALE * np.abs(lam).max()
     kernel = v[:, zero]
-    s = kernel.T @ theta @ kernel
+    s = _times_theta(kernel.T) @ kernel
     mu, w = np.linalg.eigh(s.T @ s)
     kernel = kernel @ w
     fixed = mu >= 1.0 - kernel.shape[1] * RANK_TOL_SCALE
     tail = kernel[:, fixed]
-    p = np.hstack([v[:, ~zero], kernel[:, ~fixed], tail @ _pair_basis(tail.T @ theta @ tail)])
+    tail = tail @ _pair_basis(_times_theta(tail.T) @ tail)
+    p = np.hstack([v[:, ~zero], kernel[:, ~fixed], tail])
     p.setflags(write=False)
     return p, p.shape[0] - tail.shape[1]
 
@@ -201,7 +209,7 @@ class QuantumLinearSystem:
     def dynamics_basis(self) -> tuple[np.ndarray, int]:
         """``(P, n_p1)``, P orthogonal (read-only) with its first n_p1 = rank [R, Theta R]
         columns spanning that range; factored on first read (``_dynamics_basis``) and kept."""
-        return _dynamics_basis(self.theta, self.r)
+        return _dynamics_basis(self.r)
 
     @property
     def a(self) -> np.ndarray:
@@ -210,7 +218,7 @@ class QuantumLinearSystem:
         Raises ``ValueError`` when A does not fit in doubles.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            a = 2.0 * self.theta @ self.r
+            a = -2.0 * _times_theta(self.r.T).T  # Theta R = -(R^T Theta)^T
         if not np.all(np.isfinite(a)):
             raise ValueError("2 theta r overflows doubles")
         return a
@@ -266,13 +274,13 @@ def check_plant_conditions(plant: QuantumLinearSystem,
     The rank is the plant's ``dynamics_basis`` rank n_p1, on which the
     decomposition is built too: one factorization of (Theta, R) per plant.
     """
-    theta, r, c = plant.theta, plant.r, plant.c
+    r, c = plant.r, plant.c
     rank_cr = plant.dynamics_basis[1]
     n_p2 = plant.n - rank_cr
 
     # max |[C R, C Theta R]|, from [C; C Theta] R with no n x n product
-    tf_residual = float(np.abs(np.vstack([c, c @ theta]) @ r).max())
-    cjc_residual = _commutator_residual(c, theta)
+    tf_residual = float(np.abs(np.vstack([c, _times_theta(c)]) @ r).max())
+    cjc_residual = _commutator_residual(c)
     rank_c = numerical_rank(c)
 
     return ConditionReport(

@@ -34,8 +34,8 @@ __all__ = [
 # Convergence verdict: time averages decay like 1/T.
 DRIFT_TOL = 1e-6
 SLOPE_WINDOW = (-1.3, -0.7)
-# Largest array a grid may imply: its own times, or the record's derived zp,
-# zo and zo_avg, 3 m (n_p + n_o) doubles per point.
+# Largest array a grid may imply: its own times, or a record of 3 m w doubles per
+# point, w = d in propagate's basis and n_p + n_o for the derived zp, zo and zo_avg.
 MAX_RECORD_BYTES = 2**30
 
 
@@ -146,8 +146,8 @@ class TrajectoryRecord:
     its limit, the rows at 0.  Derived on first read, then kept: ``zp_coeffs``,
     ``zo_coeffs`` and ``zo_avg``, the m x n rows ``rows[k, :m] B^T``,
     ``rows[k, m:] B^T`` and ``zo_avg_rows[k] B^T``, row 0 exactly ``c``,
-    ``zo_selector`` and ``zo_selector``.  ``reduction_residual`` bounds, to
-    first order, how far the rows can be from a propagation of all n coordinates.
+    ``zo_selector`` and ``zo_selector``, refused if the three exceed ``MAX_RECORD_BYTES``.
+    ``reduction_residual`` bounds, to first order, the rows' distance from a full propagation.
     """
 
     times: np.ndarray
@@ -222,8 +222,7 @@ def _validate_grid(times) -> np.ndarray:
 
 
 def _check_record(points: float, m: int, n: int) -> None:
-    """Refuse a grid of ``points`` times whose record, zp, zo and zo_avg of
-    3 m n doubles per point, would exceed ``MAX_RECORD_BYTES``."""
+    """Refuse ``points`` times whose record, 3 m n doubles each, exceeds ``MAX_RECORD_BYTES``."""
     if not 24 * points * m * n <= MAX_RECORD_BYTES:
         raise ValueError(f"grid of {points:.3g} points: its record of {3 * m * n} doubles per "
                          f"point would exceed MAX_RECORD_BYTES = {MAX_RECORD_BYTES / 2**30:g} GiB")
@@ -231,6 +230,7 @@ def _check_record(points: float, m: int, n: int) -> None:
 
 def _map_back(rows: np.ndarray, basis: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Rows k x m x d in ``basis`` coordinates as k x m x n rows, row 0 exactly ``first``."""
+    _check_record(len(rows), first.shape[0], basis.shape[0])
     back = (rows.reshape(-1, basis.shape[1]) @ basis.T).reshape(*rows.shape[:2], -1)
     back[0] = first
     return back
@@ -250,6 +250,17 @@ def _running_average(z: np.ndarray, times: np.ndarray) -> np.ndarray:
     return avg
 
 
+def _fill(block: np.ndarray, e: np.ndarray) -> None:
+    """``block[k] = block[0] e^k`` for every k, by doubling."""
+    filled, power = 1, e
+    while filled < len(block):
+        k = min(filled, len(block) - filled)
+        np.matmul(block[:k], power, out=block[filled:filled + k])
+        filled += k
+        if filled < len(block):
+            power = power @ power
+
+
 def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     """Propagate the output rows of the composite system over a time grid.
 
@@ -261,16 +272,15 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     so to first order they are off the full propagation by at most the
     record's ``reduction_residual``, ``|rows_0 (I - B B^T)|_2 + t_end
     max_k |rows_k B|_F |B^T A (I - B B^T)|_2``, zero for an invariant span.
-    Stepping is exact because the propagator commutes with its own steps.
-    Steps that agree to 1e-9 of the largest step share one exponential,
-    taken at their mean, so a uniform grid costs one ``matrix_exponential``
-    and a grid with s distinct steps costs s.  Nothing n wide per grid point
-    is allocated.  Refuses, before it allocates, a grid whose derived
-    ``zp_coeffs``, ``zo_coeffs`` and ``zo_avg`` would exceed ``MAX_RECORD_BYTES``.
+    Steps that agree to 1e-9 of the largest step share one exponential E, taken at
+    their mean, and each run of N points of equal steps is filled by doubling,
+    ``rows[f:2f] = rows[:f] E^f``: about log2 N row products per run.  Nothing n
+    wide per grid point is allocated.  Refuses, before it allocates, a record of
+    3 m d doubles per point beyond ``MAX_RECORD_BYTES``.
     """
     times = _validate_grid(times)
-    _check_record(times.size, aug.m, aug.n)
     b, m = aug.basis, aug.m
+    _check_record(times.size, m, b.shape[1])
     leak = b.T @ aug.a
     reduced_a = leak @ b
     leak -= reduced_a @ b.T
@@ -282,8 +292,9 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
         _, group = np.unique(np.round(steps / steps.max(), 9), return_inverse=True)
         means = np.bincount(group, weights=steps) / np.bincount(group)
         exps = [matrix_exponential(reduced_a * h) for h in means]
-        for k, g in enumerate(group.tolist()):
-            np.matmul(rows[k], exps[g], out=rows[k + 1])
+        edges = np.flatnonzero(np.diff(group, prepend=-1, append=-1)).tolist()
+        for start, end in zip(edges, edges[1:]):
+            _fill(rows[start:end + 1], exps[group[start]])
     largest_rows = np.sqrt(np.einsum("kij,kij->k", rows, rows).max())
     reduction_residual = float(np.linalg.norm(selectors - rows[0] @ b.T, 2)
                                + times[-1] * largest_rows * np.linalg.norm(leak, 2))

@@ -3,6 +3,8 @@
 import numpy as np
 import scipy.linalg
 
+from qobserver import matrix_exponential
+
 # Commutation residual, relative to the propagator's squared norm, past which
 # the RK4 reference reports its step as unstable.
 DIVERGENCE_TOL = 1e-3
@@ -57,6 +59,19 @@ def full_composite_rows(aug, times):
     on all n coordinates of the composite, whatever basis ``propagate`` steps in."""
     selectors = np.vstack([aug.c, aug.zo_selector])
     return np.array([selectors @ scipy.linalg.expm(aug.a * t) for t in times])
+
+
+def stepped_rows(aug, dt, steps):
+    """``propagate``'s rows at 0, dt, ..., steps dt by one row product per grid point:
+    ``rows[k + 1] = rows[k] E`` with ``E = matrix_exponential(B^T A B dt)`` in the
+    composite's basis B, the stepping loop that filling by doubling replaced."""
+    b = aug.basis
+    e = matrix_exponential(b.T @ aug.a @ b * dt)
+    rows = np.empty((steps + 1, 2 * aug.m, b.shape[1]))
+    rows[0] = np.vstack([aug.c, aug.zo_selector]) @ b
+    for k in range(steps):
+        np.matmul(rows[k], e, out=rows[k + 1])
+    return rows
 
 
 def span_rank(theta, r):

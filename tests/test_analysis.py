@@ -261,9 +261,9 @@ class TestPlantFromTransformedOutput:
             events.append("check")
             return _dynamics_pair(theta, r)
 
-        def factored(theta, r):
+        def factored(r):
             events.append("factor")
-            return _dynamics_basis(theta, r)
+            return _dynamics_basis(r)
 
         monkeypatch.setattr(model, "_dynamics_pair", counted)
         monkeypatch.setattr(analysis, "_dynamics_pair", counted)

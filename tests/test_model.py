@@ -12,6 +12,7 @@ from qobserver import (
     make_commutation_matrix,
     numerical_rank,
 )
+from qobserver.model import _times_theta
 
 from conftest import random_spd, random_valid_plant
 
@@ -39,6 +40,16 @@ class TestMakeCommutationMatrix:
     def test_rejects_invalid_mode_count(self, bad):
         with pytest.raises(ValueError):
             make_commutation_matrix(bad)
+
+    @pytest.mark.parametrize("n_modes", [1, 3, 100])
+    def test_times_theta_is_the_product(self, n_modes):
+        # the signed column swap gives the dense product's values exactly
+        rng = np.random.default_rng(n_modes)
+        x, r = rng.normal(size=(5, 2 * n_modes)), rng.normal(size=(2 * n_modes, 2 * n_modes))
+        theta = make_commutation_matrix(n_modes)
+        assert np.array_equal(_times_theta(x), x @ theta)
+        assert np.array_equal(_times_theta(r.T), r.T @ theta)
+        assert np.array_equal(-2.0 * _times_theta(r.T).T, 2.0 * theta @ r)
 
 
 def dynamics(theta, r):

@@ -22,7 +22,7 @@ from qobserver import (
 from qobserver.simulation import DRIFT_TOL, _distances
 
 from conftest import random_passive_plant, random_spd, random_valid_system
-from oracles import average_error_reference, full_composite_rows, ode_oracle
+from oracles import average_error_reference, full_composite_rows, ode_oracle, stepped_rows
 
 
 def rotation(angle):
@@ -77,6 +77,8 @@ DRIFT_ROUNDOFF = 1e-15
 
 # 0, 0.1, ..., 1.0 then 1.25, ..., 3.0: two distinct step sizes
 MIXED_GRID = np.concatenate([np.arange(11) * 0.1, 1.0 + np.arange(1, 9) * 0.25])
+# steps 0.1, 0.15, 0.1, ...: two distinct step sizes, every run of equal steps one long
+ALTERNATING_GRID = np.concatenate([[0.0], np.cumsum(np.resize([0.1, 0.15], 12))])
 
 
 @pytest.fixture
@@ -252,11 +254,13 @@ class TestPropagate:
         with pytest.raises(ValueError, match="time grid must hold finite times"):
             predicted_average_error(obs, plant.c, times)
 
-    def test_refuses_record_beyond_bound_before_allocating(self, sixmode_system, monkeypatch):
-        # time_grid applies the same bound, so the grid is built directly
-        *_, aug = sixmode_system
+    def test_refuses_record_beyond_bound_before_allocating(self, monkeypatch):
+        # the record propagate keeps is 3 m d doubles per point in the basis;
+        # time_grid applies a bound too, so the grid is built directly
+        *_, aug = random_valid_system(np.random.default_rng(103), n_modes=100, m=4)
         times = np.arange(20_001) * 0.01
-        record_bytes = 24 * times.size * aug.m * aug.n
+        d = aug.basis.shape[1]
+        record_bytes = 24 * times.size * aug.m * d
         monkeypatch.setattr(simulation, "MAX_RECORD_BYTES", record_bytes - 1)
         tracemalloc.start()
         try:
@@ -267,7 +271,23 @@ class TestPropagate:
             tracemalloc.stop()
         assert peak <= 2 * times.nbytes < record_bytes / 20
         monkeypatch.setattr(simulation, "MAX_RECORD_BYTES", record_bytes)
-        assert propagate(aug, times).zo_avg.shape == (times.size, aug.m, aug.n)
+        assert propagate(aug, times).rows.shape == (times.size, 2 * aug.m, d)
+
+    def test_derived_arrays_are_bounded_on_first_read(self, sixmode_system, monkeypatch):
+        # a bound between the record in the basis and the derived zp, zo and zo_avg
+        *_, aug = sixmode_system
+        times = time_grid(20.0, 0.01)
+        d = aug.basis.shape[1]
+        assert d < aug.n
+        monkeypatch.setattr(simulation, "MAX_RECORD_BYTES", 24 * times.size * aug.m * d)
+        record = propagate(aug, times)
+        assert time_average_error(record, aug).passed
+        for name in ("zp_coeffs", "zo_coeffs", "zo_avg"):
+            with pytest.raises(ValueError, match="per point would exceed MAX_RECORD_BYTES"):
+                getattr(record, name)
+        assert not {"zp_coeffs", "zo_coeffs", "zo_avg"} & record.__dict__.keys()
+        monkeypatch.setattr(simulation, "MAX_RECORD_BYTES", 24 * times.size * aug.m * aug.n)
+        assert record.zo_avg.shape == (times.size, aug.m, aug.n)
 
     def test_allocates_no_full_width_array(self):
         # a large_plant-shaped design: n_p = 200, m = 4, 2 001 points, d = 8
@@ -298,6 +318,38 @@ class TestPropagate:
         exponentials.clear()
         propagate(aug, MIXED_GRID)
         assert len(exponentials) == 2
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 64, 65, "alternating"])
+    def test_filled_rows_match_direct_exponentials(self, sixmode_system, grid):
+        # uniform grids of 1, 2, 3, 2^k and 2^k + 1 points, and runs of one step each
+        *_, aug = sixmode_system
+        times = ALTERNATING_GRID if grid == "alternating" else np.arange(grid) * 0.1
+        record = propagate(aug, times)
+        selectors = np.vstack([aug.c, aug.zo_selector])
+        assert record.rows.shape[0] == times.size
+        for k, t in enumerate(times):
+            rows = np.vstack([record.zp_coeffs[k], record.zo_coeffs[k]])
+            assert np.abs(rows - selectors @ matrix_exponential(aug.a * t)).max() <= 1e-12
+
+    def test_fills_each_run_of_equal_steps_once(self, sixmode_system, monkeypatch):
+        *_, aug = sixmode_system
+        fill, blocks = simulation._fill, []
+
+        def counted(block, e):
+            blocks.append(len(block))
+            fill(block, e)
+
+        monkeypatch.setattr(simulation, "_fill", counted)
+        for times, runs in ((time_grid(200.0, 0.01), [20_001]), (MIXED_GRID, [11, 9]),
+                            (ALTERNATING_GRID, [2] * 12)):
+            blocks.clear()
+            propagate(aug, times)
+            assert blocks == runs
+
+    def test_filled_rows_match_stepping_over_20000_steps(self, sixmode_system):
+        *_, aug = sixmode_system
+        record = propagate(aug, time_grid(2000.0, 0.1))
+        assert np.abs(record.rows - stepped_rows(aug, 0.1, 20_000)).max() <= 1e-10
 
     def test_mixed_grid_rows_match_direct_exponentials(self, sixmode_system):
         *_, aug = sixmode_system
