@@ -54,11 +54,12 @@ def make_commutation_matrix(n_modes: int) -> np.ndarray:
 
 
 def numerical_rank(a: np.ndarray) -> int:
-    """Rank of `a` counting singular values above max_dim*sigma_max*1e-12."""
+    """Rank of `a` counting singular values above max_dim*sigma_max*1e-12, taken after
+    scaling `a` exactly by the power of two that puts its largest entry in [0.5, 1)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(np.ldexp(a, -np.frexp(np.abs(a).max())[1]), compute_uv=False)
     return int(np.count_nonzero(s > s[0] * (max(a.shape) * RANK_TOL_SCALE)))
 
 
@@ -152,9 +153,12 @@ def _dynamics_basis(r: np.ndarray) -> tuple[np.ndarray, int]:
     K times the eigenvectors of ``-S^2`` below 1, then K times those at 1,
     paired.  Both thresholds are dimensionless: an eigenvalue of R counts as
     zero within ``n RANK_TOL_SCALE`` of the largest in modulus, one of
-    ``-S^2`` as 1 within ``k RANK_TOL_SCALE`` of 1, for K of k columns.
+    ``-S^2`` as 1 within ``k RANK_TOL_SCALE`` of 1, for K of k columns.  Raises
+    ``ValueError`` when an eigenvalue of R does not fit in doubles.
     """
     lam, v = np.linalg.eigh(r)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("the eigenvalues of r overflow doubles")
     zero = np.abs(lam) <= r.shape[0] * RANK_TOL_SCALE * np.abs(lam).max()
     kernel = v[:, zero]
     s = _times_theta(kernel.T) @ kernel
@@ -278,8 +282,9 @@ def check_plant_conditions(plant: QuantumLinearSystem,
     rank_cr = plant.dynamics_basis[1]
     n_p2 = plant.n - rank_cr
 
-    # max |[C R, C Theta R]|, from [C; C Theta] R with no n x n product
-    tf_residual = float(np.abs(np.vstack([c, _times_theta(c)]) @ r).max())
+    # max |[C R, C Theta R]|, from [C; C Theta] R with no n x n product; inf fails
+    with np.errstate(over="ignore"):
+        tf_residual = float(np.abs(np.vstack([c, _times_theta(c)]) @ r).max())
     cjc_residual = _commutator_residual(c)
     rank_c = numerical_rank(c)
 

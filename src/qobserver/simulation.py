@@ -142,8 +142,8 @@ class TrajectoryRecord:
 
     Kept in the composite's ``basis`` B (n x d): ``rows[k]`` is ``[c; zo_selector]
     Phi(t_k) B``, the 2m output rows in B's coordinates, and ``zo_avg_rows[k]``
-    the trapezoidal ``(1/t_k) integral_0^{t_k}`` of their bottom m rows, at t = 0
-    its limit, the rows at 0.  Derived on first read, then kept: ``zp_coeffs``,
+    the exact ``(1/t_k) integral_0^{t_k}`` of their bottom m rows, at t = 0 its
+    limit, the rows at 0.  Derived on first read, then kept: ``zp_coeffs``,
     ``zo_coeffs`` and ``zo_avg``, the m x n rows ``rows[k, :m] B^T``,
     ``rows[k, m:] B^T`` and ``zo_avg_rows[k] B^T``, row 0 exactly ``c``,
     ``zo_selector`` and ``zo_selector``, refused if the three exceed ``MAX_RECORD_BYTES``.
@@ -236,20 +236,6 @@ def _map_back(rows: np.ndarray, basis: np.ndarray, first: np.ndarray) -> np.ndar
     return back
 
 
-def _running_average(z: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Trapezoidal ``(1/t_k) integral_0^{t_k} z dt``, entry 0 its limit ``z[0]``:
-    cumulative_trapezoid's operations in its order, without temporaries."""
-    avg = np.empty_like(z)
-    avg[0] = z[0]
-    tail = avg[1:]
-    np.add(z[1:], z[:-1], out=tail)
-    tail *= np.diff(times)[:, None, None]
-    tail /= 2.0
-    np.cumsum(tail, axis=0, out=tail)
-    tail /= times[1:, None, None]
-    return avg
-
-
 def _fill(block: np.ndarray, e: np.ndarray) -> None:
     """``block[k] = block[0] e^k`` for every k, by doubling."""
     filled, power = 1, e
@@ -272,34 +258,42 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     so to first order they are off the full propagation by at most the
     record's ``reduction_residual``, ``|rows_0 (I - B B^T)|_2 + t_end
     max_k |rows_k B|_F |B^T A (I - B B^T)|_2``, zero for an invariant span.
-    Steps that agree to 1e-9 of the largest step share one exponential E, taken at
-    their mean, and each run of N points of equal steps is filled by doubling,
-    ``rows[f:2f] = rows[:f] E^f``: about log2 N row products per run.  Nothing n
-    wide per grid point is allocated.  Refuses, before it allocates, a record of
-    3 m d doubles per point beyond ``MAX_RECORD_BYTES``.
+    Steps that agree to 1e-9 of the largest step share one Van Loan exponential at their
+    mean h, ``expm([[B^T A B h, I h], [0, 0]])`` (IEEE TAC 23(3), 1978): its top blocks are
+    ``E = e^{B^T A B h}`` and ``G = integral_0^h e^{B^T A B s} ds``.  Each run of N points
+    of equal steps is filled by doubling, ``rows[f:2f] = rows[:f] E^f``, about log2 N row
+    products per run, and the observer rows' integral grows exactly by ``rows[k, m:] G``
+    per step.  Nothing n wide per grid point is allocated.  Refuses, before it
+    allocates, a record of 3 m d doubles per point beyond ``MAX_RECORD_BYTES``.
     """
     times = _validate_grid(times)
-    b, m = aug.basis, aug.m
-    _check_record(times.size, m, b.shape[1])
+    b, m, d = aug.basis, aug.m, aug.basis.shape[1]
+    _check_record(times.size, m, d)
     leak = b.T @ aug.a
     reduced_a = leak @ b
     leak -= reduced_a @ b.T
     selectors = np.vstack([aug.c, aug.zo_selector])
-    rows = np.empty((times.size, 2 * m, b.shape[1]))
+    rows = np.empty((times.size, 2 * m, d))
     rows[0] = selectors @ b
+    avg = np.empty((times.size, m, d))  # [k + 1] first holds the step's rows[k, m:] G
+    avg[0] = rows[0, m:]
     steps = np.diff(times)
     if steps.size:
         _, group = np.unique(np.round(steps / steps.max(), 9), return_inverse=True)
         means = np.bincount(group, weights=steps) / np.bincount(group)
-        exps = [matrix_exponential(reduced_a * h) for h in means]
+        exps = [matrix_exponential(np.block([[reduced_a * h, np.eye(d) * h],
+                                             [np.zeros((d, 2 * d))]]))[:d] for h in means]
         edges = np.flatnonzero(np.diff(group, prepend=-1, append=-1)).tolist()
         for start, end in zip(edges, edges[1:]):
-            _fill(rows[start:end + 1], exps[group[start]])
+            top = exps[group[start]]
+            _fill(rows[start:end + 1], top[:, :d])
+            np.matmul(rows[start:end, m:], top[:, d:], out=avg[start + 1:end + 1])
+        np.cumsum(avg[1:], axis=0, out=avg[1:])
+        avg[1:] /= times[1:, None, None]
     largest_rows = np.sqrt(np.einsum("kij,kij->k", rows, rows).max())
     reduction_residual = float(np.linalg.norm(selectors - rows[0] @ b.T, 2)
                                + times[-1] * largest_rows * np.linalg.norm(leak, 2))
-    return TrajectoryRecord(times=times, basis=b, rows=rows,
-                            zo_avg_rows=_running_average(rows[:, m:], times),
+    return TrajectoryRecord(times=times, basis=b, rows=rows, zo_avg_rows=avg,
                             c=aug.c, zo_selector=aug.zo_selector,
                             reduction_residual=reduction_residual)
 

@@ -74,6 +74,29 @@ def stepped_rows(aug, dt, steps):
     return rows
 
 
+def integrated_average(aug, rows, times):
+    """``(1/t_k) integral_0^{t_k}`` of the observer rows ``rows[:, m:]`` (in the
+    composite's basis B) that ``propagate`` recorded, entry 0 the rows at 0.
+
+    Each step h integrates its first point's rows exactly through the top-right
+    block ``integral_0^h e^{B^T A B s} ds`` of ``scipy.linalg.expm([[B^T A B h,
+    I h], [0, 0]])`` (Van Loan 1978, IEEE TAC 23(3)), taken for every distinct
+    float step on its own, with no grouping of nearly equal steps.
+    """
+    b, m = aug.basis, aug.m
+    d = b.shape[1]
+    reduced = b.T @ aug.a @ b
+    steps = np.diff(times)
+    block = np.zeros((2 * d, 2 * d))
+    increments = np.empty((steps.size, m, d))
+    for h in np.unique(steps):
+        block[:d, :d], block[:d, d:] = reduced * h, np.eye(d) * h
+        at = steps == h
+        increments[at] = rows[:-1][at, m:] @ scipy.linalg.expm(block)[:d, d:]
+    return np.concatenate([rows[:1, m:],
+                           np.cumsum(increments, axis=0) / np.asarray(times)[1:, None, None]])
+
+
 def span_rank(theta, r):
     """rank [R, Theta R] by its singular values, counting those above
     max_dim * sigma_max * 1e-12: the paper-level reference for the plant's n_p1."""

@@ -527,6 +527,40 @@ class TestCliCommands:
         times, _, _ = read_trajectory_csv(tmp_path / "x" / "zp.csv")
         assert times[-1] == 10.5
 
+    def test_simulate_prints_the_exact_average_of_a_coarse_grid(self, tmp_path, sixmode_path,
+                                                                 capsys):
+        # sqrt(10) |sin 10| / 10; a trapezoid on steps of 0.5 read 1.575e-01
+        code = main(["simulate", str(sixmode_path), str(tmp_path / "x"),
+                     "--t-end", "10", "--dt", "0.5"])
+        assert code == 0
+        assert "  final avg error 1.720e-01" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("output", ["c_p2_tilde", "c_p"])
+    def test_analyze_refuses_r_whose_eigenvalues_overflow(self, sixmode_path, tmp_path,
+                                                          capsys, output):
+        doc = json.loads(sixmode_path.read_text())
+        doc["r_p"] = [3e307 * v for v in doc["r_p"]]
+        if output == "c_p":
+            plant, _ = build_plant(sixmode_config())
+            del doc["c_p2_tilde"]
+            doc["c_p"] = plant.c.ravel().tolist()
+        path = tmp_path / "huge_r.json"
+        path.write_text(json.dumps(doc))
+        code = main(["analyze", str(path)])
+        assert capsys.readouterr().err == "error: the eigenvalues of r overflow doubles\n"
+        assert code == 2
+
+    def test_analyze_fails_overflowing_outputs_on_tf_cond_alone(self, sixmode_path, tmp_path,
+                                                               capsys):
+        doc = json.loads(sixmode_path.read_text())
+        path = write_changed_config(sixmode_path, tmp_path, None, "c_p2_tilde",
+                                    [1e308 * v for v in doc["c_p2_tilde"]])
+        assert main(["analyze", path]) == 1
+        out, err = capsys.readouterr()
+        assert "  tf_cond_ok   FAIL" in out.splitlines()
+        assert "  rank_ok      pass" in out.splitlines()
+        assert err == ""
+
     def test_zero_coupling_leaves_synthesize_unchanged(self, sixmode_path, tmp_path):
         # the flag is a simulation diagnostic; the designed observer keeps its coupling
         plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"

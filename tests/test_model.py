@@ -137,6 +137,14 @@ class TestQuantumLinearSystem:
             with pytest.raises(ValueError, match="canonical"):
                 QuantumLinearSystem(theta, np.zeros((n, n)), np.eye(1, n))
 
+    def test_rejects_r_whose_eigenvalues_overflow(self, sixmode):
+        # every entry, 3e307, fits, and so does A; the eigenvalue 1.8e308 does not
+        plant, _ = sixmode
+        huge = QuantumLinearSystem(plant.theta, 3e307 * plant.r, plant.c)
+        assert np.all(np.isfinite(huge.a))
+        with pytest.raises(ValueError, match="eigenvalues of r overflow"):
+            huge.dynamics_basis
+
     def test_rejects_wrong_output_width(self):
         with pytest.raises(ValueError):
             QuantumLinearSystem(make_commutation_matrix(2), np.zeros((4, 4)), np.eye(1, 3))
@@ -171,6 +179,12 @@ class TestNumericalRank:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert numerical_rank(np.diag([1e308, 1e300])) == 2
+
+    def test_overflowing_singular_values_keep_the_rank(self):
+        # sqrt(2) 1e308 is beyond doubles; scaling by a power of two is exact
+        a = np.array([[1e308, 1e308], [1e308, -1e308], [0.0, 0.0]])
+        assert numerical_rank(a) == 2
+        assert numerical_rank(a[[0, 0, 2]]) == 1
 
 
 class TestPlantConditions:
@@ -223,6 +237,15 @@ class TestPlantConditions:
         unit = plant.c / np.linalg.norm(plant.c, axis=1)[:, None]
         assert report.residuals["cjc"] == pytest.approx(
             np.abs(unit @ plant.theta @ unit.T).max(), abs=1e-16)
+
+    def test_overflowing_outputs_fail_tf_cond_alone(self, sixmode):
+        # [C; C Theta] R overflows to inf, which fails; rank and cjc keep their verdict
+        plant, _ = sixmode
+        report = check_plant_conditions(QuantumLinearSystem(plant.theta, plant.r,
+                                                            1e308 * plant.c))
+        assert report.failing == ["tf_cond"]
+        assert report.residuals["tf_cond"] == np.inf
+        assert report.residuals["rank_defect"] == 0.0
 
     def test_zero_output_row_is_left_to_the_rank_check(self, sixmode):
         plant, _ = sixmode

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.integrate import cumulative_trapezoid
 
 from qobserver import (
     AugmentedSystem,
@@ -22,7 +21,8 @@ from qobserver import (
 from qobserver.simulation import DRIFT_TOL, _distances
 
 from conftest import random_passive_plant, random_spd, random_valid_system
-from oracles import average_error_reference, full_composite_rows, ode_oracle, stepped_rows
+from oracles import (average_error_reference, full_composite_rows, integrated_average,
+                     ode_oracle, stepped_rows)
 
 
 def rotation(angle):
@@ -38,23 +38,9 @@ def single_mode_system(r=None):
     )
 
 
-def trapezoid_bias_bound(obs, times):
-    """Bound on |trapezoid zo_avg(T) - exact zo_avg(T)|_F on a uniform grid.
-
-    ``zo^(k)(t) = C_o A_o^k e^{A_o t} X`` and ``R_o^{1/2} e^{A_o t} R_o^{-1/2}``
-    is orthogonal, so ``|zo^(k)|_F <= B_k = |C_o A_o^k R_o^{-1/2}|_2 |R_o^{1/2} X|_F``.
-    The trapezoid's Peano kernel bounds the averaged bias by ``h^2 B_2 / 12``;
-    Euler-Maclaurin bounds it by ``h^2 B_1 / (6 T) + h^4 B_4 / 720``.
-    """
-    h = times[1] - times[0]
-    lam, q = np.linalg.eigh(obs.r_o)
-    root, inv_root = (q * np.sqrt(lam)) @ q.T, (q / np.sqrt(lam)) @ q.T
-    a_o = 2.0 * obs.theta_o @ obs.r_o
-    sx = np.linalg.norm(np.hstack([inv_root @ obs.r_c.T, root]))
-    b = [np.linalg.norm(obs.c_o @ np.linalg.matrix_power(a_o, k) @ inv_root, 2) * sx
-         for k in range(5)]
-    with np.errstate(divide="ignore"):
-        return np.minimum(h**2 * b[2] / 12, h**2 * b[1] / (6 * times) + h**4 * b[4] / 720)
+def roundoff(aug, times):
+    """Round-off of an exact average at each of ``times``: ``1e-12 + 4 eps |A|_2 t``."""
+    return 1e-12 + 4 * np.finfo(float).eps * np.linalg.norm(aug.a, 2) * np.asarray(times)
 
 
 def frobenius_drift(rec):
@@ -68,8 +54,6 @@ def decoupled(obs):
                                r_c_tilde=np.zeros_like(obs.r_c_tilde))
 
 
-# Round-off of the propagated rows, 5e-10 over T = 200, on top of the bias.
-ROUNDOFF = 1e-9
 # The verdict's drift, from the basis split, and the drift of the derived
 # rows round differently: by at most 1.3e-16 on the designs tested here.
 DRIFT_ROUNDOFF = 1e-15
@@ -228,8 +212,8 @@ class TestPropagate:
             [np.sin(40.0), 1.0 - np.cos(40.0)],
             [np.cos(40.0) - 1.0, np.sin(40.0)]])
         expected_avg = np.hstack([np.zeros((2, 6)), integral / 20.0])
-        # tolerance dominated by trapezoid quadrature error ~ (2 dt)^2 / 12
-        assert np.abs(record.zo_avg[-1] - expected_avg).max() <= 1e-5
+        # the average is exact: measured 5.7e-16
+        assert np.abs(record.zo_avg[-1] - expected_avg).max() <= roundoff(aug, 20.0)
 
     def test_single_point_grid(self, sixmode_system):
         *_, aug = sixmode_system
@@ -419,12 +403,14 @@ class TestPropagate:
         assert drift <= 1e-9
 
     @pytest.mark.parametrize("grid", ["sixmode", "mixed"])
-    def test_average_is_cumulative_trapezoid(self, sixmode_system, sixmode_record, grid):
+    def test_average_is_exact_integral(self, sixmode_system, sixmode_record, grid):
+        # against scipy's Van Loan integral of each step: measured 1.2e-14 and 4.4e-16
         *_, aug = sixmode_system
         record = sixmode_record if grid == "sixmode" else propagate(aug, MIXED_GRID)
         t, m = record.times, aug.m
-        reference = cumulative_trapezoid(record.rows[:, m:], t, axis=0, initial=0)
-        assert np.array_equal(record.zo_avg_rows[1:], reference[1:] / t[1:, None, None])
+        reference = integrated_average(aug, record.rows, t)
+        assert np.all(np.abs(record.zo_avg_rows - reference).max(axis=(1, 2))
+                      <= roundoff(aug, t))
         assert np.array_equal(record.zo_avg_rows[0], record.rows[0, m:])
         # the original-coordinate average is the map-back of the one in the basis
         assert np.array_equal(record.zo_avg[1:], record.zo_avg_rows[1:] @ record.basis.T)
@@ -459,15 +445,31 @@ class TestTimeAverageError:
         assert report.final_error <= 0.02
 
     def test_sixmode_error_matches_closed_form(self, sixmode_system, sixmode_record):
-        # the trapezoid average differs from the closed form by at most its
-        # bias: 1.05e-4 at the first grid point, 1.05e-5 for T >= 10
         plant, _, obs, aug = sixmode_system
         times = sixmode_record.times
         errors = np.linalg.norm(sixmode_record.zo_avg - aug.c, axis=(1, 2))
         predicted = predicted_average_error(obs, plant.c, times)
-        bound = trapezoid_bias_bound(obs, times)
-        assert np.all(np.abs(errors - predicted) <= bound + ROUNDOFF)
-        assert bound.max() <= 2e-4 and bound[times >= 10].max() <= 2e-5
+        assert np.all(np.abs(errors - predicted) <= roundoff(aug, times))
+
+    @pytest.mark.parametrize("omega", [1e2, 1e3, 1e5])
+    def test_average_is_exact_at_any_stiffness(self, sixmode, omega):
+        # omega = 1 is the test above; here omega dt reaches 1e3, beyond any
+        # quadrature on this grid.  Measured: at most 1.5 eps |A|_2 t, from
+        # round-off in the formed generator B^T A B
+        plant, dec = sixmode
+        obs = synthesize_observer(dec, omega=omega)
+        aug = assemble_augmented(plant, obs)
+        times = time_grid(200.0, 0.01)
+        errors = np.linalg.norm(propagate(aug, times).zo_avg - aug.c, axis=(1, 2))
+        predicted = predicted_average_error(obs, plant.c, times)
+        assert np.all(np.abs(errors - predicted) <= roundoff(aug, times))
+
+    def test_coarse_grid_error_is_exact(self, sixmode_system):
+        # about six steps of 0.5 per period of pi, yet the error is exact
+        *_, aug = sixmode_system
+        report = time_average_error(propagate(aug, time_grid(10.0, 0.5)), aug)
+        assert abs(report.final_error - np.sqrt(10.0) * abs(np.sin(10.0)) / 10.0) \
+            <= roundoff(aug, 10.0)
 
     def test_error_norms_are_blocked_without_record_sized_temporaries(
             self, sixmode_system, sixmode_record):
@@ -492,13 +494,12 @@ class TestTimeAverageError:
         k_const = (times * predicted_average_error(obs, plant.c, times))[mask].max()
         assert abs(k_const - np.sqrt(10.0)) <= 1e-6
         errors = np.linalg.norm(sixmode_record.zo_avg - aug.c, axis=(1, 2))
-        bias = trapezoid_bias_bound(obs, times)
-        assert np.all(errors[mask] <= k_const / times[mask] + bias[mask] + ROUNDOFF)
+        assert np.all(errors[mask] <= k_const / times[mask] + roundoff(aug, times[mask]))
 
     def test_bound_holds_for_random_systems(self):
-        # the simulated error stays within the trapezoid's bias of the closed
-        # form on random designs (m = 1 to 4, R_o random positive definite),
-        # passive plants, and each of them without coupling
+        # the simulated error matches the closed form to round-off on random
+        # designs (m = 1 to 4, R_o random positive definite), passive plants,
+        # and each of them without coupling
         rng = np.random.default_rng(71)
         designs = [random_valid_system(rng, n_modes=5, m=m)[::2] for m in (1, 2, 3, 4)]
         for n_modes, rank, m in ((3, 1, 1), (4, 2, 2), (5, 1, 3)):
@@ -510,8 +511,7 @@ class TestTimeAverageError:
             aug = assemble_augmented(plant, obs)
             errors = np.linalg.norm(propagate(aug, times).zo_avg - aug.c, axis=(1, 2))
             predicted = predicted_average_error(obs, plant.c, times)
-            assert np.all(np.abs(errors - predicted)
-                          <= trapezoid_bias_bound(obs, times) + ROUNDOFF)
+            assert np.all(np.abs(errors - predicted) <= roundoff(aug, times))
 
     def test_decoupled_fails_with_full_target_error(self, sixmode_system):
         plant, dec, obs, _ = sixmode_system
