@@ -1,11 +1,11 @@
 """Direct-coupling coherent quantum observers for closed linear quantum systems.
 
-Workflow: describe a plant (commutation matrix, symmetric Hamiltonian
-matrix, output selector), check the structural conditions under which its
-outputs are estimable, decompose it into dynamical and constant coordinate
-blocks, synthesize a reduced-order observer coupled through a Hamiltonian,
-and simulate the closed composite to verify that the time average of the
-observer outputs converges to the (constant) plant outputs.
+Workflow: describe a plant (symmetric Hamiltonian matrix, output selector),
+check the structural conditions under which its outputs are estimable,
+decompose it into dynamical and constant coordinate blocks, synthesize a
+reduced-order observer coupled through a Hamiltonian, and simulate the
+closed composite to verify that the time average of the observer outputs
+converges to the (constant) plant outputs.
 """
 
 from .analysis import (

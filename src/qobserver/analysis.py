@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (J, QuantumLinearSystem, _commutator_residual, _dynamics_basis,
-                    _dynamics_pair, _times_theta)
+                    _hamiltonian, _read_only, _times_theta)
 
 __all__ = [
     "DecomposedPlant",
@@ -34,8 +34,8 @@ class DecomposedPlant:
     commutation matrix is block diagonal ``diag(theta11, theta22)``, the
     Hamiltonian is ``diag(r_p11, 0)`` and the output selector is
     ``[0, c_p2_tilde]``; the last ``n_p2`` coordinates stay constant under
-    the free plant dynamics.  ``theta22`` is reported in canonical
-    diag(J, ..., J) form (the basis of the constant subspace is chosen to
+    the free plant dynamics.  ``theta22`` is the canonical diag(J, ..., J)
+    of size n_p2, derived (the basis of the constant subspace is chosen to
     realize it; any orthogonal completion of the span is equally valid).
 
     ``residuals`` records how well the block structure is realized; for a
@@ -45,13 +45,17 @@ class DecomposedPlant:
 
     p: np.ndarray
     theta11: np.ndarray
-    theta22: np.ndarray
     r_p11: np.ndarray
     c_p2_tilde: np.ndarray
     n_p1: int
     n_p2: int
     source: QuantumLinearSystem
     residuals: dict
+
+    @property
+    def theta22(self) -> np.ndarray:
+        """Commutation matrix of the constant block, diag(J, ..., J) of size n_p2."""
+        return _read_only(np.kron(np.eye(self.n_p2 // 2), J))
 
 
 def _decomposed(plant: QuantumLinearSystem, p: np.ndarray, n_p1: int,
@@ -61,8 +65,7 @@ def _decomposed(plant: QuantumLinearSystem, p: np.ndarray, n_p1: int,
     n_p2 = n - n_p1
     theta_t = _times_theta(p.T) @ p
     r_t = p.T @ plant.r @ p
-    # The constant-subspace basis was built to realize the canonical form;
-    # store it exactly rather than with the ~1e-15 dirt of the product.
+    # the constant-subspace basis was built to realize the canonical form
     theta22 = np.kron(np.eye(n_p2 // 2), J)
     residuals = {
         "orthogonality": float(np.abs(p.T @ p - np.eye(n)).max()),
@@ -72,7 +75,7 @@ def _decomposed(plant: QuantumLinearSystem, p: np.ndarray, n_p1: int,
                                  np.abs(r_t[:n_p1, n_p1:]).max(initial=0.0))),
         "c_zero_block": float(np.abs((plant.c @ p)[:, :n_p1]).max(initial=0.0)),
     }
-    return DecomposedPlant(p=p, theta11=theta_t[:n_p1, :n_p1], theta22=theta22,
+    return DecomposedPlant(p=p, theta11=theta_t[:n_p1, :n_p1],
                            r_p11=r_t[:n_p1, :n_p1], c_p2_tilde=c_p2_tilde,
                            n_p1=n_p1, n_p2=n_p2, source=plant, residuals=residuals)
 
@@ -105,8 +108,7 @@ def transformed_condition_check(dec: DecomposedPlant) -> float:
     return _commutator_residual(dec.c_p2_tilde)
 
 
-def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
-                                  c_p2_tilde: np.ndarray):
+def plant_from_transformed_output(r_p: np.ndarray, c_p2_tilde: np.ndarray):
     """Build a plant whose output selector is given in rotated coordinates.
 
     This is the natural design workflow: decompose the dynamics pair
@@ -114,14 +116,14 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
     constant-block coordinates (where the commuting-outputs condition is a
     sparsity pattern), and map it back with ``C_p = [0, c_p2_tilde] P^T``.
 
-    (Theta_p, R_p) pass the plant's own checks before they are factored:
-    ``eigh`` reads one triangle of R_p, so an asymmetric R_p is refused first.
+    R_p passes the plant's own check before it is factored: ``eigh`` reads
+    one triangle of R_p, so an asymmetric R_p is refused first.
     The plant keeps that factorization as its ``dynamics_basis``.
     Returns ``(plant, dec)`` where ``dec`` keeps the given output matrix
     verbatim, so designs stated in rotated coordinates are not polluted by
     the round trip through ``C_p``.
     """
-    theta_p, r_p = _dynamics_pair(theta_p, r_p)
+    r_p = _hamiltonian(r_p)
     c_p2_tilde = np.atleast_2d(np.asarray(c_p2_tilde, dtype=float))
     p, n_p1 = _dynamics_basis(r_p)
     n_p2 = p.shape[0] - n_p1
@@ -130,6 +132,6 @@ def plant_from_transformed_output(theta_p: np.ndarray, r_p: np.ndarray,
             f"c_p2_tilde must have n_p2 = {n_p2} columns for this dynamics pair, "
             f"got {c_p2_tilde.shape}")
     c_p = np.hstack([np.zeros((c_p2_tilde.shape[0], n_p1)), c_p2_tilde]) @ p.T
-    plant = QuantumLinearSystem(theta_p, r_p, c_p)
+    plant = QuantumLinearSystem(r_p, c_p)
     plant.__dict__["dynamics_basis"] = p, n_p1  # the cached_property's slot: read, not refactored
     return plant, _decomposed(plant, p, n_p1, c_p2_tilde)

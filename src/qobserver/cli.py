@@ -110,7 +110,9 @@ def _observer_dict(obs: ObserverDesign) -> dict:
 
 
 def _write_report(report: RunReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    """The report as strict JSON, each non-finite float written as "inf", "-inf" or "nan"."""
+    doc = json.loads(json.dumps(report.to_dict()), parse_constant=lambda name: str(float(name)))
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _print_conditions(report: ConditionReport):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import decompose_plant, plant_from_transformed_output
-from .model import CONDITION_TOL, QuantumLinearSystem, make_commutation_matrix
+from .model import CONDITION_TOL, QuantumLinearSystem
 from .synthesis import _observer_order
 
 __all__ = ["ConfigError", "PlantConfig", "load_config", "build_plant"]
@@ -163,8 +163,7 @@ def build_plant(cfg: PlantConfig):
     original coordinates).  An invalid plant raises the library's own
     ``ValueError``, unchanged.
     """
-    theta = make_commutation_matrix(cfg.n_p // 2)
     if cfg.c_p2_tilde is not None:
-        return plant_from_transformed_output(theta, cfg.r_p, cfg.c_p2_tilde)
-    plant = QuantumLinearSystem(theta=theta, r=cfg.r_p, c=cfg.c_p)
+        return plant_from_transformed_output(cfg.r_p, cfg.c_p2_tilde)
+    plant = QuantumLinearSystem(r=cfg.r_p, c=cfg.c_p)
     return plant, decompose_plant(plant)

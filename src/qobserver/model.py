@@ -1,12 +1,12 @@
 """Matrix-valued data model for closed linear quantum systems.
 
-A closed linear quantum system is described by a canonical commutation
-matrix ``Theta`` (block diagonal in 2x2 symplectic units ``J``), a real
-symmetric Hamiltonian matrix ``R`` and an output selector ``C``.  The
-Heisenberg dynamics matrix is never stored; it is always derived as
-``A = 2 Theta R``, which guarantees the commutation relations are
-preserved for all time (physical realizability).  The plant is such a
-system, and so is the plant together with its directly coupled observer.
+A closed linear quantum system of n / 2 oscillator modes is described by a
+real symmetric Hamiltonian matrix ``R`` and an output selector ``C``.  Its
+canonical commutation matrix ``Theta = diag(J, ..., J)`` (2x2 symplectic
+units ``J``) and its Heisenberg dynamics matrix ``A = 2 Theta R`` are derived,
+never stored; A so preserves the commutation relations for all time (physical
+realizability).  The plant is such a system, and so is the plant together
+with its directly coupled observer.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ RANK_TOL_SCALE = 1e-12
 
 def make_commutation_matrix(n_modes: int) -> np.ndarray:
     """The read-only canonical commutation matrix diag(J, ..., J) of ``n_modes``
-    oscillator modes, 2 n_modes square: the one form ``QuantumLinearSystem`` accepts."""
+    oscillator modes, 2 n_modes square: ``QuantumLinearSystem.theta`` of that size."""
     if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
     theta = np.kron(np.eye(n_modes), J)
@@ -98,23 +98,15 @@ def _symmetric(a: np.ndarray) -> bool:
     return not a.size or np.abs(a - a.T).max() <= SYMMETRY_TOL * np.abs(a).max()
 
 
-def _dynamics_pair(theta, r) -> tuple[np.ndarray, np.ndarray]:
-    """``(theta, r)`` checked: theta exactly diag(J, ..., J), r of its size and symmetric."""
-    theta = _as_matrix(theta, "theta")
+def _hamiltonian(r) -> np.ndarray:
+    """``r`` checked: square, of even non-zero size, and symmetric."""
     r = _as_matrix(r, "r")
-    n = theta.shape[0]
-    if theta.shape[1] != n or n % 2 != 0 or n == 0:
-        raise ValueError(f"theta must be square with even dimension, got {theta.shape}")
-    if not np.array_equal(theta.T, -theta):
-        raise ValueError("theta must be exactly skew-symmetric")
-    # skew, so diag(J, ..., J) exactly when its n nonzeros are theta[2k, 2k+1] = 1
-    if np.count_nonzero(theta) != n or not np.all(np.diagonal(theta, 1)[::2] == 1.0):
-        raise ValueError("theta must be canonical, block diag(J, ..., J)")
-    if r.shape != (n, n):
-        raise ValueError(f"r must be {n}x{n}, got {r.shape}")
+    n = r.shape[0]
+    if r.shape[1] != n or n % 2 != 0 or n == 0:
+        raise ValueError(f"r must be square with even non-zero dimension, got {r.shape}")
     if not _symmetric(r):
         raise ValueError("r must be symmetric to within 1e-12 of its largest entry")
-    return theta, r
+    return r
 
 
 def _pair_basis(theta: np.ndarray) -> np.ndarray:
@@ -180,29 +172,33 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumLinearSystem:
-    """A closed linear quantum system, stored as read-only copies of: ``theta``,
-    the n x n commutation matrix, exactly block diag(J, ..., J) (any other form
-    is refused); ``r``, the n x n real symmetric Hamiltonian matrix (energy
-    0.5 x^T R x); and ``c``, the m x n output selector of the estimated z = C x.
+    """A closed linear quantum system of n / 2 modes, stored as read-only copies of
+    ``r``, the n x n real symmetric Hamiltonian matrix (energy 0.5 x^T R x), and
+    ``c``, the m x n output selector of the estimated z = C x.  Its commutation
+    matrix ``theta`` is the canonical diag(J, ..., J) of size n, derived.
     """
 
-    theta: np.ndarray
     r: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        theta, r = _dynamics_pair(self.theta, self.r)
+        r = _hamiltonian(self.r)
         c = _as_matrix(self.c, "c")
-        n = theta.shape[0]
+        n = r.shape[0]
         if c.shape[1] != n or c.shape[0] < 1:
             raise ValueError(f"c must have {n} columns and at least one row, got {c.shape}")
-        for name, arr in (("theta", theta), ("r", r), ("c", c)):
+        for name, arr in (("r", r), ("c", c)):
             object.__setattr__(self, name, _read_only(arr))
 
     @property
     def n(self) -> int:
         """Number of system variables (even)."""
-        return self.theta.shape[0]
+        return self.r.shape[0]
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Canonical commutation matrix diag(J, ..., J), n x n (derived, never stored)."""
+        return make_commutation_matrix(self.n // 2)
 
     @property
     def m(self) -> int:

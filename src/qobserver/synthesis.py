@@ -68,8 +68,6 @@ class ObserverDesign:
         n_p2 x n_o coupling Hamiltonian block in rotated plant coordinates.
     r_c : ndarray
         n_p x n_o coupling Hamiltonian block in original plant coordinates.
-    theta_o : ndarray
-        Canonical commutation matrix of the observer.
     n_o : int
         Observer order: m for even m, m + 1 for odd m.
     consistency_residual : float
@@ -83,7 +81,6 @@ class ObserverDesign:
     c_o: np.ndarray
     r_c_tilde: np.ndarray
     r_c: np.ndarray
-    theta_o: np.ndarray
     n_o: int
     consistency_residual: float
     conditions: ConditionReport
@@ -92,13 +89,18 @@ class ObserverDesign:
     def m(self) -> int:
         return self.c_o.shape[0]
 
+    @property
+    def theta_o(self) -> np.ndarray:
+        """Canonical commutation matrix of the observer, n_o x n_o (derived)."""
+        return make_commutation_matrix(self.n_o // 2)
+
 
 @dataclass(frozen=True)
 class AugmentedSystem(QuantumLinearSystem):
     """The closed plant-observer composite, itself a closed linear quantum system.
 
-    ``theta = diag(theta_p, theta_o)``, ``r = [[r_p, r_c], [r_c^T, r_o]]`` and
-    ``c = [c_p, 0]`` picks the plant outputs out of the composite variables;
+    ``r = [[r_p, r_c], [r_c^T, r_o]]``, its derived ``theta`` is ``diag(theta_p, theta_o)``,
+    and ``c = [c_p, 0]`` picks the plant outputs out of the composite variables;
     ``zo_selector = [0, c_o]``, of the shape of ``c``, picks the observer outputs.
 
     ``basis`` is an n x d matrix, d >= 1, with orthonormal columns whose span, as a
@@ -198,8 +200,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
     r_c_tilde = dec.c_p2_tilde.T @ beta.T
     r_c = dec.p @ np.vstack([np.zeros((dec.n_p1, n_o)), r_c_tilde])
     return ObserverDesign(
-        r_o=r_o, beta=beta, c_o=c_o, r_c_tilde=r_c_tilde, r_c=r_c,
-        theta_o=np.asarray(make_commutation_matrix(n_o // 2)), n_o=n_o,
+        r_o=r_o, beta=beta, c_o=c_o, r_c_tilde=r_c_tilde, r_c=r_c, n_o=n_o,
         consistency_residual=consistency, conditions=report,
     )
 
@@ -219,8 +220,6 @@ def assemble_augmented(plant: QuantumLinearSystem,
     if m != plant.m:
         raise ValueError(f"observer estimates {m} outputs, plant has {plant.m}")
     return AugmentedSystem(
-        theta=np.block([[plant.theta, np.zeros((n_p, n_o))],
-                        [np.zeros((n_o, n_p)), obs.theta_o]]),
         r=np.block([[plant.r, obs.r_c], [obs.r_c.T, obs.r_o]]),
         c=np.hstack([plant.c, np.zeros((m, n_o))]),
         zo_selector=np.hstack([np.zeros((m, n_p)), obs.c_o]),

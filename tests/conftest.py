@@ -92,14 +92,23 @@ def random_valid_plant(rng, n_modes=None, m=None, r_scale=0.1, c_scale=0.5):
             break
     c2 = np.zeros((m, n_p2))
     c2[:, 0::2] = c_scale * w
-    return plant_from_transformed_output(theta, r_p, c2)
+    return plant_from_transformed_output(r_p, c2)
+
+
+def real_embedding(z):
+    """The real form of a complex matrix: each entry a + ib becomes the 2x2 block
+    ``[[a, -b], [b, a]]``, which commutes with J.  A unitary becomes orthogonal."""
+    out = np.empty((2 * z.shape[0], 2 * z.shape[1]))
+    out[0::2, 0::2] = out[1::2, 1::2] = z.real
+    out[1::2, 0::2], out[0::2, 1::2] = z.imag, -z.imag
+    return out
 
 
 def random_passive_plant(rng, n_modes, rank, m):
     """Passive plant H = a^dagger M a for a random Hermitian M of the given rank.
 
-    R is the real embedding of M in 2x2 blocks ``[[Re M_jk, -Im M_jk],
-    [Im M_jk, Re M_jk]]``, which commute with J.  The outputs are the
+    R is the real embedding of M (``real_embedding``), whose 2x2 blocks commute
+    with J.  The outputs are the
     q-quadratures of m orthonormal zero modes u of M: each row interleaves
     Re u and Im u.  Needs ``rank + m <= n_modes``.  Returns (plant, dec).
     """
@@ -107,14 +116,11 @@ def random_passive_plant(rng, n_modes, rank, m):
     u, _ = np.linalg.qr(z)
     eigs = rng.choice([-1.0, 1.0], size=rank) * rng.uniform(0.5, 2.0, size=rank)
     herm = (u[:, :rank] * eigs) @ u[:, :rank].conj().T
-    herm = (herm + herm.conj().T) / 2
-    r = np.empty((2 * n_modes, 2 * n_modes))
-    r[0::2, 0::2] = r[1::2, 1::2] = herm.real
-    r[1::2, 0::2], r[0::2, 1::2] = herm.imag, -herm.imag
+    r = real_embedding((herm + herm.conj().T) / 2)
     zero_modes = u[:, rank:rank + m].T
     c = np.empty((m, 2 * n_modes))
     c[:, 0::2], c[:, 1::2] = zero_modes.real, zero_modes.imag
-    plant = QuantumLinearSystem(make_commutation_matrix(n_modes), r, c)
+    plant = QuantumLinearSystem(r, c)
     return plant, decompose_plant(plant)
 
 

@@ -162,8 +162,7 @@ def test_criterion_8_condition_checker_soundness():
             n_modes = int(rng.integers(1, 5))
             n_p = 2 * n_modes
             g = rng.normal(size=(n_p, n_p))
-            plant = QuantumLinearSystem(make_commutation_matrix(n_modes),
-                                        (g + g.T) / 2, rng.normal(size=(1, n_p)))
+            plant = QuantumLinearSystem((g + g.T) / 2, rng.normal(size=(1, n_p)))
         theta, r, c = plant.theta, plant.r, plant.c
         finite = np.abs(c @ np.hstack([r, theta @ r])).max() <= tol
         direct = max(np.abs(c @ np.linalg.matrix_power(theta, k) @ r).max()
@@ -172,8 +171,7 @@ def test_criterion_8_condition_checker_soundness():
 
     # estimability bound: four outputs on a four-dimensional constant block
     plant, dec = build_plant(sixmode_config())
-    over = QuantumLinearSystem(plant.theta, plant.r,
-                               np.hstack([np.zeros((4, 2)), np.eye(4)]) @ dec.p.T)
+    over = QuantumLinearSystem(plant.r, np.hstack([np.zeros((4, 2)), np.eye(4)]) @ dec.p.T)
     over_report = check_plant_conditions(over)
     rejected = not over_report.bound_ok
     try:

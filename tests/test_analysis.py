@@ -14,7 +14,7 @@ from qobserver import (
     transformed_condition_check,
 )
 from qobserver import analysis, model
-from qobserver.model import _dynamics_basis, _dynamics_pair, _pair_basis
+from qobserver.model import _dynamics_basis, _hamiltonian, _pair_basis
 
 from conftest import random_passive_plant, random_valid_plant
 from oracles import pair_basis_reference, span_rank
@@ -25,9 +25,9 @@ def sorted_imag(mat):
     return np.sort(np.linalg.eigvals(mat).imag)
 
 
-def span_plant(theta, r):
-    """A plant with dynamics pair (theta, r); its output plays no part in rank [R, Theta R]."""
-    return QuantumLinearSystem(theta, r, np.eye(1, theta.shape[0]))
+def span_plant(r):
+    """A plant with Hamiltonian r; its output plays no part in rank [R, Theta R]."""
+    return QuantumLinearSystem(r, np.eye(1, len(r)))
 
 
 def span_ranks(plant):
@@ -45,29 +45,28 @@ def assert_in_dynamical_block(plant, cr):
 class TestControllabilitySpan:
     def test_sixmode_matches_printed_sign_pattern(self):
         # all-ones R: left half all ones; right half alternates +/- by row
-        plant = span_plant(make_commutation_matrix(3), np.ones((6, 6)))
+        plant = span_plant(np.ones((6, 6)))
         expected = np.ones((6, 12))
         expected[1::2, 6:] = -1.0
         assert span_ranks(plant) == (2, 2)
         assert_in_dynamical_block(plant, expected)
 
     def test_zero_hamiltonian(self):
-        plant = span_plant(make_commutation_matrix(2), np.zeros((4, 4)))
+        plant = span_plant(np.zeros((4, 4)))
         assert span_ranks(plant) == (0, 0)
         assert_in_dynamical_block(plant, np.zeros((4, 8)))
 
     def test_identity_hamiltonian(self):
         theta = make_commutation_matrix(2)
-        plant = span_plant(theta, np.eye(4))
+        plant = span_plant(np.eye(4))
         assert span_ranks(plant) == (4, 4)
         assert_in_dynamical_block(plant, np.hstack([np.eye(4), theta]))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            span_plant(make_commutation_matrix(2), np.eye(6))
-        with pytest.raises(ValueError):
-            plant_from_transformed_output(make_commutation_matrix(2), np.eye(6),
-                                          np.eye(1, 4))
+        with pytest.raises(ValueError, match="c must have 6 columns"):
+            QuantumLinearSystem(np.eye(6), np.eye(1, 4))
+        with pytest.raises(ValueError, match="n_p2 = 0"):
+            plant_from_transformed_output(np.eye(6), np.eye(1, 4))
 
     def test_span_equals_full_controllability_matrix(self):
         # rank [R, Theta R] = rank [R, Theta R, Theta^2 R, ...] since
@@ -81,7 +80,7 @@ class TestControllabilitySpan:
             r = g @ g.T
             full = np.hstack([np.linalg.matrix_power(theta, k) @ r for k in range(n_p)])
             rank = np.linalg.matrix_rank(full)
-            assert span_ranks(span_plant(theta, r)) == (rank, rank)
+            assert span_ranks(span_plant(r)) == (rank, rank)
 
     @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
     def test_eigh_rank_equals_svd_rank_on_generated_plants(self, scale):
@@ -92,7 +91,7 @@ class TestControllabilitySpan:
         plants += [random_passive_plant(rng, n_modes, rank, m)[0]
                    for n_modes, rank, m in ((3, 1, 1), (4, 2, 2), (6, 3, 2), (8, 2, 5))]
         for plant in plants:
-            plant = QuantumLinearSystem(plant.theta, scale * plant.r, plant.c)
+            plant = QuantumLinearSystem(scale * plant.r, plant.c)
             rank, n_p1 = span_ranks(plant)
             assert rank == n_p1
 
@@ -130,7 +129,7 @@ class TestDecomposePlant:
     def test_zero_hamiltonian_degenerate_case(self):
         theta = make_commutation_matrix(2)
         c = np.eye(1, 4)
-        plant = QuantumLinearSystem(theta, np.zeros((4, 4)), c)
+        plant = QuantumLinearSystem(np.zeros((4, 4)), c)
         dec = decompose_plant(plant)
         assert (dec.n_p1, dec.n_p2) == (0, 4)
         assert np.array_equal(dec.p, np.eye(4))
@@ -145,7 +144,7 @@ class TestDecomposePlant:
         theta = make_commutation_matrix(2)
         # independent rank check of [R, Theta R]
         assert np.linalg.matrix_rank(np.hstack([r, theta @ r])) == 4
-        plant = QuantumLinearSystem(theta, r, np.eye(1, 4))
+        plant = QuantumLinearSystem(r, np.eye(1, 4))
         dec = decompose_plant(plant)
         assert (dec.n_p1, dec.n_p2) == (4, 0)
         assert dec.c_p2_tilde.shape == (1, 0)
@@ -153,7 +152,7 @@ class TestDecomposePlant:
     def test_violating_plant_still_decomposes_with_residual(self, sixmode):
         plant, _ = sixmode
         # an output that overlaps the dynamical subspace
-        bad = QuantumLinearSystem(plant.theta, plant.r, np.eye(2, 6))
+        bad = QuantumLinearSystem(plant.r, np.eye(2, 6))
         dec = decompose_plant(bad)
         assert dec.residuals["c_zero_block"] > 1e-3
 
@@ -215,10 +214,7 @@ class TestTransformedConditionCheck:
     def test_identity_output_fails(self, sixmode):
         # m = n_p2 violates the m <= n_p2 / 2 bound and the residual is 1
         _, dec = sixmode
-        theta22 = np.zeros((4, 4))
-        theta22[:2, :2] = [[0, 1], [-1, 0]]
-        theta22[2:, 2:] = [[0, -1], [1, 0]]
-        bad = dataclasses.replace(dec, c_p2_tilde=np.eye(4), theta22=theta22)
+        bad = dataclasses.replace(dec, c_p2_tilde=np.eye(4))
         assert transformed_condition_check(bad) == 1.0
 
     def test_equivalent_to_original_condition(self):
@@ -238,39 +234,34 @@ class TestPlantFromTransformedOutput:
         assert np.abs(plant.c @ dec.p[:, dec.n_p1:] - dec.c_p2_tilde).max() <= 1e-12
 
     def test_wrong_width_rejected(self):
-        theta = make_commutation_matrix(3)
         with pytest.raises(ValueError, match="n_p2"):
-            plant_from_transformed_output(theta, np.ones((6, 6)), np.eye(2, 3))
+            plant_from_transformed_output(np.ones((6, 6)), np.eye(2, 3))
 
     def test_dynamics_pair_is_checked_before_factoring(self):
         # refused as the plant refuses it, not for the width the SVD implies
-        theta = make_commutation_matrix(3)
         r = np.ones((6, 6))
         r[0, 1] = 2.0
         with pytest.raises(ValueError, match="r must be symmetric"):
-            plant_from_transformed_output(theta, r, np.eye(2, 4))
-        with pytest.raises(ValueError, match="r must be 6x6"):
-            plant_from_transformed_output(theta, np.ones((4, 4)), np.eye(2, 4))
+            plant_from_transformed_output(r, np.eye(2, 4))
 
     def test_dynamics_pair_is_checked_before_factoring_and_by_the_plant(self, monkeypatch):
-        # the pair check forms no n x n product, so the plant's constructor repeats it;
+        # the check of R forms no n x n product, so the plant's constructor repeats it;
         # the factorization is the plant's, and the check and decomposition read it
         events = []
 
-        def counted(theta, r):
+        def counted(r):
             events.append("check")
-            return _dynamics_pair(theta, r)
+            return _hamiltonian(r)
 
         def factored(r):
             events.append("factor")
             return _dynamics_basis(r)
 
-        monkeypatch.setattr(model, "_dynamics_pair", counted)
-        monkeypatch.setattr(analysis, "_dynamics_pair", counted)
+        monkeypatch.setattr(model, "_hamiltonian", counted)
+        monkeypatch.setattr(analysis, "_hamiltonian", counted)
         monkeypatch.setattr(analysis, "_dynamics_basis", factored)
         monkeypatch.setattr(model, "_dynamics_basis", factored)
-        plant, dec = plant_from_transformed_output(make_commutation_matrix(3), np.ones((6, 6)),
-                                                   np.eye(2, 4))
+        plant, dec = plant_from_transformed_output(np.ones((6, 6)), np.eye(2, 4))
         assert check_plant_conditions(plant).rank_cr == decompose_plant(plant).n_p1 == 2
         assert events == ["check", "factor", "check"]
         assert plant.dynamics_basis[0] is dec.p and dec.p.flags.writeable is False

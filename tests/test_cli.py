@@ -23,6 +23,7 @@ from qobserver import (
 )
 from qobserver.cli import (
     RunReport,
+    _write_report,
     cmd_analyze,
     cmd_demo,
     main,
@@ -95,6 +96,11 @@ MALFORMED_CONFIGS = [
     (None, "observer", {"r_o": [1e308, 0, 0, 1e308], "c_o": [0.5, 0, 0, 0.5]}),
     # omega scales the default R_o only
     (None, "observer", {"omega": 5.0, "r_o": [2, 0, 0, 2]})]
+
+
+def strict_json_constant(name):
+    """A ``parse_constant`` that refuses the non-standard NaN, Infinity and -Infinity."""
+    raise ValueError(f"report holds the non-JSON constant {name}")
 
 
 def write_changed_config(sixmode_path, tmp_path, section, key, value) -> str:
@@ -561,6 +567,23 @@ class TestCliCommands:
         assert "  rank_ok      pass" in out.splitlines()
         assert err == ""
 
+    def test_report_names_a_nonfinite_residual(self, sixmode_path, tmp_path):
+        # [C; C Theta] R overflows to inf; the report stays strict JSON
+        doc = json.loads(sixmode_path.read_text())
+        path = write_changed_config(sixmode_path, tmp_path, None, "c_p2_tilde",
+                                    [1e308 * v for v in doc["c_p2_tilde"]])
+        report_path = tmp_path / "report.json"
+        assert main(["analyze", path, "--report", str(report_path)]) == 1
+        report = json.loads(report_path.read_text(), parse_constant=strict_json_constant)
+        assert report["conditions"]["residuals"]["tf_cond"] == "inf"
+        assert report["conditions"]["residuals"]["cjc"] <= 1e-15
+
+    def test_report_writes_each_nonfinite_float_by_name(self, tmp_path):
+        path = tmp_path / "report.json"
+        _write_report(RunReport(conditions={"a": np.nan, "b": [-np.inf, 0.1, 2, np.inf]}), path)
+        report = json.loads(path.read_text(), parse_constant=strict_json_constant)
+        assert report["conditions"] == {"a": "nan", "b": ["-inf", 0.1, 2, "inf"]}
+
     def test_zero_coupling_leaves_synthesize_unchanged(self, sixmode_path, tmp_path):
         # the flag is a simulation diagnostic; the designed observer keeps its coupling
         plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
@@ -630,8 +653,8 @@ class TestConditionsFromDecomposition:
         six, six_dec = build_plant(sixmode_config())
         p2 = six_dec.p[:, 2:]
         # the q and p of one constant mode do not commute; four outputs exceed n_p2 / 2
-        non_commuting = QuantumLinearSystem(six.theta, six.r, np.eye(2, 4) @ p2.T)
-        too_many = QuantumLinearSystem(six.theta, six.r, p2.T)
+        non_commuting = QuantumLinearSystem(six.r, np.eye(2, 4) @ p2.T)
+        too_many = QuantumLinearSystem(six.r, p2.T)
         return valid + [(non_commuting, np.eye(2, 4)), (too_many, np.eye(4))]
 
     @staticmethod

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 from qobserver import (
     J,
@@ -14,7 +15,7 @@ from qobserver import (
 )
 from qobserver.model import _times_theta
 
-from conftest import random_spd, random_valid_plant
+from conftest import random_passive_plant, random_spd, random_valid_plant, real_embedding
 
 
 class TestMakeCommutationMatrix:
@@ -52,39 +53,40 @@ class TestMakeCommutationMatrix:
         assert np.array_equal(-2.0 * _times_theta(r.T).T, 2.0 * theta @ r)
 
 
-def dynamics(theta, r):
-    """``A = 2 Theta R`` of the one-output system on (theta, r)."""
-    return QuantumLinearSystem(theta, r, np.eye(1, np.shape(theta)[0])).a
+def dynamics(r):
+    """``A = 2 Theta R`` of the one-output system on r."""
+    return QuantumLinearSystem(r, np.eye(1, np.shape(r)[0])).a
 
 
 class TestDynamicsFromHamiltonian:
     def test_identity_hamiltonian(self):
-        assert np.array_equal(dynamics(J, np.eye(2)), 2 * J)
+        assert np.array_equal(dynamics(np.eye(2)), 2 * J)
 
     def test_rank_one_block(self):
         # the dynamical block of the six-mode demo
-        a = dynamics(J, [[3.0, 3.0], [3.0, 3.0]])
+        a = dynamics([[3.0, 3.0], [3.0, 3.0]])
         assert np.array_equal(a, [[6.0, 6.0], [-6.0, -6.0]])
 
     def test_zero_hamiltonian(self):
-        assert np.array_equal(dynamics(J, np.zeros((2, 2))), np.zeros((2, 2)))
+        assert np.array_equal(dynamics(np.zeros((2, 2))), np.zeros((2, 2)))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dynamics(J, np.eye(4))
+        # Theta takes the size of R, so the output selector must match it
+        with pytest.raises(ValueError, match="c must have 4 columns"):
+            QuantumLinearSystem(np.eye(4), np.eye(1, 2))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            dynamics(J, [[0.0, 1.0], [0.0, 0.0]])
+            dynamics([[0.0, 1.0], [0.0, 0.0]])
 
-    def test_nonsquare_theta_rejected(self):
+    def test_nonsquare_r_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            dynamics(np.zeros((2, 3)), np.eye(2))
+            dynamics(np.zeros((2, 3)))
 
     def test_rejects_overflow(self):
         # 2 * 1e308 is beyond doubles; the caller gets an error, not a warning
         with pytest.raises(ValueError, match="overflows"):
-            dynamics(J, np.eye(2) * 1e308)
+            dynamics(np.eye(2) * 1e308)
 
     def test_flow_preserves_commutation_structure(self):
         # A Theta + Theta A^T = 0 for any symmetric r
@@ -94,18 +96,18 @@ class TestDynamicsFromHamiltonian:
             theta = make_commutation_matrix(n_modes)
             g = rng.normal(size=(2 * n_modes, 2 * n_modes))
             r = (g + g.T) / 2
-            a = dynamics(theta, r)
+            a = dynamics(r)
             assert np.abs(a @ theta + theta @ a.T).max() <= 1e-12
 
 
 class TestQuantumLinearSystem:
     def test_valid_construction(self):
-        plant = QuantumLinearSystem(make_commutation_matrix(2), np.eye(4), np.eye(1, 4))
+        plant = QuantumLinearSystem(np.eye(4), np.eye(1, 4))
         assert plant.n == 4 and plant.m == 1
         assert np.array_equal(plant.a, 2 * plant.theta)
 
     def test_arrays_are_read_only(self):
-        plant = QuantumLinearSystem(make_commutation_matrix(1), np.zeros((2, 2)), np.eye(1, 2))
+        plant = QuantumLinearSystem(np.zeros((2, 2)), np.eye(1, 2))
         with pytest.raises(ValueError):
             plant.r[0, 0] = 1.0
 
@@ -113,7 +115,7 @@ class TestQuantumLinearSystem:
         r = np.zeros((2, 2))
         r[0, 1] = 1e-9
         with pytest.raises(ValueError, match="symmetric"):
-            QuantumLinearSystem(make_commutation_matrix(1), r, np.eye(1, 2))
+            QuantumLinearSystem(r, np.eye(1, 2))
 
     def test_symmetry_is_judged_relative_to_scale(self):
         # round-off asymmetry of a large R is far above 1e-12 in absolute terms
@@ -122,42 +124,33 @@ class TestQuantumLinearSystem:
         rng = np.random.default_rng(5)
         for r in [rank_two] + [1e5 * random_spd(rng, 8) for _ in range(5)]:
             assert np.abs(r - r.T).max() > 1e-12
-            theta = make_commutation_matrix(r.shape[0] // 2)
-            QuantumLinearSystem(theta, r, np.eye(1, r.shape[0])).a
+            QuantumLinearSystem(r, np.eye(1, r.shape[0])).a
             asymmetric = r.copy()
             asymmetric[0, 1] += 1e-11 * np.abs(r).max()
             with pytest.raises(ValueError, match="symmetric"):
-                QuantumLinearSystem(theta, asymmetric, np.eye(1, r.shape[0]))
-
-    def test_rejects_noncanonical_theta(self):
-        # -J and the (q, p)-ordered form are skew with theta^2 = -I, but not diag(J, ..., J)
-        swapped = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
-        for theta in (2 * np.asarray(J), -np.asarray(J), swapped):
-            n = theta.shape[0]
-            with pytest.raises(ValueError, match="canonical"):
-                QuantumLinearSystem(theta, np.zeros((n, n)), np.eye(1, n))
+                QuantumLinearSystem(asymmetric, np.eye(1, r.shape[0]))
 
     def test_rejects_r_whose_eigenvalues_overflow(self, sixmode):
         # every entry, 3e307, fits, and so does A; the eigenvalue 1.8e308 does not
         plant, _ = sixmode
-        huge = QuantumLinearSystem(plant.theta, 3e307 * plant.r, plant.c)
+        huge = QuantumLinearSystem(3e307 * plant.r, plant.c)
         assert np.all(np.isfinite(huge.a))
         with pytest.raises(ValueError, match="eigenvalues of r overflow"):
             huge.dynamics_basis
 
     def test_rejects_wrong_output_width(self):
         with pytest.raises(ValueError):
-            QuantumLinearSystem(make_commutation_matrix(2), np.zeros((4, 4)), np.eye(1, 3))
+            QuantumLinearSystem(np.zeros((4, 4)), np.eye(1, 3))
 
-    @pytest.mark.parametrize("theta,r,match", [
-        (J, [[np.nan, 0.0], [0.0, 0.0]], "non-finite"),
-        (J, np.zeros((1, 2, 2)), "2-D"),
-        (np.eye(3), np.zeros((3, 3)), "even dimension"),
-        ([[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2)), "skew-symmetric"),
+    @pytest.mark.parametrize("r,match", [
+        ([[np.nan, 0.0], [0.0, 0.0]], "non-finite"),
+        (np.zeros((1, 2, 2)), "2-D"),
+        (np.zeros((3, 3)), "even non-zero dimension"),
+        (np.zeros((0, 0)), "even non-zero dimension"),
     ])
-    def test_rejects_malformed_matrices(self, theta, r, match):
+    def test_rejects_malformed_matrices(self, r, match):
         with pytest.raises(ValueError, match=match):
-            QuantumLinearSystem(theta, r, np.eye(1, 2))
+            QuantumLinearSystem(r, np.eye(1, 2))
 
 
 class TestNumericalRank:
@@ -200,7 +193,7 @@ class TestPlantConditions:
         # any single variable of a free plant is estimable
         n_p = 6
         c = np.eye(1, n_p)
-        plant = QuantumLinearSystem(make_commutation_matrix(3), np.zeros((n_p, n_p)), c)
+        plant = QuantumLinearSystem(np.zeros((n_p, n_p)), c)
         report = check_plant_conditions(plant)
         assert report.tf_cond_ok and report.cjc_ok and report.rank_ok
         assert report.rank_cr == 0 and report.n_p2 == n_p
@@ -210,7 +203,7 @@ class TestPlantConditions:
         row = dec.c_p2_tilde[0]
         c2 = np.vstack([row, row])
         c_p = np.hstack([np.zeros((2, dec.n_p1)), c2]) @ dec.p.T
-        degraded = QuantumLinearSystem(plant.theta, plant.r, c_p)
+        degraded = QuantumLinearSystem(plant.r, c_p)
         # independent rank oracle on the 2 x 6 output matrix
         svals = np.linalg.svd(c_p, compute_uv=False)
         assert int(np.sum(svals > max(c_p.shape) * svals[0] * 1e-12)) == 1
@@ -222,7 +215,7 @@ class TestPlantConditions:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_flags_invariant_under_row_scaling(self, sixmode, scale):
         plant, _ = sixmode
-        scaled = QuantumLinearSystem(plant.theta, plant.r, scale * plant.c)
+        scaled = QuantumLinearSystem(plant.r, scale * plant.c)
         report = check_plant_conditions(scaled)
         assert report.tf_cond_ok and report.cjc_ok
 
@@ -231,7 +224,7 @@ class TestPlantConditions:
     def test_commutator_is_judged_on_unit_rows(self, sixmode, scale):
         # no overflow at any output scale; the verdict is that of scale 1
         plant, _ = sixmode
-        scaled = QuantumLinearSystem(plant.theta, plant.r, scale * plant.c)
+        scaled = QuantumLinearSystem(plant.r, scale * plant.c)
         report = check_plant_conditions(scaled)
         assert report.cjc_ok and report.residuals["cjc"] <= 1e-15
         unit = plant.c / np.linalg.norm(plant.c, axis=1)[:, None]
@@ -241,8 +234,7 @@ class TestPlantConditions:
     def test_overflowing_outputs_fail_tf_cond_alone(self, sixmode):
         # [C; C Theta] R overflows to inf, which fails; rank and cjc keep their verdict
         plant, _ = sixmode
-        report = check_plant_conditions(QuantumLinearSystem(plant.theta, plant.r,
-                                                            1e308 * plant.c))
+        report = check_plant_conditions(QuantumLinearSystem(plant.r, 1e308 * plant.c))
         assert report.failing == ["tf_cond"]
         assert report.residuals["tf_cond"] == np.inf
         assert report.residuals["rank_defect"] == 0.0
@@ -250,8 +242,28 @@ class TestPlantConditions:
     def test_zero_output_row_is_left_to_the_rank_check(self, sixmode):
         plant, _ = sixmode
         c = np.vstack([plant.c[:1], np.zeros((1, 6))])
-        report = check_plant_conditions(QuantumLinearSystem(plant.theta, plant.r, c))
+        report = check_plant_conditions(QuantumLinearSystem(plant.r, c))
         assert report.cjc_ok and report.failing == ["rank"]
+
+    def test_flags_invariant_under_unitary_change_of_coordinates(self):
+        # S, the real form of a unitary, is orthogonal and commutes with Theta:
+        # (S^T R S, C S) is the same plant in other coordinates
+        rng = np.random.default_rng(43)
+        plants = [random_valid_plant(rng)[0] for _ in range(24)]
+        plants += [random_passive_plant(rng, n_modes, rank, m)[0]
+                   for n_modes, rank, m in ((3, 1, 1), (3, 1, 2), (4, 2, 2), (4, 1, 3),
+                                            (5, 2, 1), (5, 3, 2), (6, 3, 2), (8, 2, 5)) * 2]
+        for plant in plants:
+            # the second output row the first times Theta: a non-commuting variant
+            variant = QuantumLinearSystem(plant.r, np.vstack([plant.c[:1],
+                                                              _times_theta(plant.c[:1])]))
+            assert check_plant_conditions(plant).all_ok
+            assert not check_plant_conditions(variant).cjc_ok
+            for system in (plant, variant):
+                s = real_embedding(unitary_group.rvs(system.n // 2, random_state=rng))
+                moved = QuantumLinearSystem(s.T @ system.r @ s, system.c @ s)
+                before, after = check_plant_conditions(system), check_plant_conditions(moved)
+                assert (after.flags, after.rank_cr) == (before.flags, before.rank_cr)
 
     def test_finite_check_equals_direct_powers(self):
         # ||C [R, Theta R]|| = 0 iff C Theta^k R = 0 for k = 0..3: because
@@ -265,10 +277,8 @@ class TestPlantConditions:
             else:
                 n_modes = int(rng.integers(1, 5))
                 n_p = 2 * n_modes
-                theta = make_commutation_matrix(n_modes)
                 g = rng.normal(size=(n_p, n_p))
-                plant = QuantumLinearSystem(theta, (g + g.T) / 2,
-                                            rng.normal(size=(1, n_p)))
+                plant = QuantumLinearSystem((g + g.T) / 2, rng.normal(size=(1, n_p)))
             theta, r, c = plant.theta, plant.r, plant.c
             finite = np.abs(c @ np.hstack([r, theta @ r])).max() <= tol
             direct = max(np.abs(c @ np.linalg.matrix_power(theta, k) @ r).max()

@@ -32,10 +32,8 @@ def rotation(angle):
 
 def single_mode_system(r=None):
     """A 1-mode augmented stand-in: A = 2 J R with selectors on each row."""
-    return AugmentedSystem(
-        theta=np.array([[0.0, 1.0], [-1.0, 0.0]]), r=np.eye(2) if r is None else r,
-        c=np.eye(1, 2), zo_selector=np.eye(1, 2, k=1),
-    )
+    return AugmentedSystem(r=np.eye(2) if r is None else r, c=np.eye(1, 2),
+                           zo_selector=np.eye(1, 2, k=1))
 
 
 def roundoff(aug, times):
@@ -381,7 +379,7 @@ class TestPropagate:
 
     def test_direct_composite_steps_all_coordinates(self, sixmode_system):
         *_, aug = sixmode_system
-        direct = AugmentedSystem(aug.theta, aug.r, aug.c, aug.zo_selector)
+        direct = AugmentedSystem(aug.r, aug.c, aug.zo_selector)
         assert np.array_equal(direct.basis, np.eye(aug.n))
         record = propagate(direct, MIXED_GRID)
         reference = full_composite_rows(direct, MIXED_GRID)
@@ -557,7 +555,7 @@ class TestTimeAverageError:
         elif design == "decoupled":
             systems = [assemble_augmented(plant, decoupled(obs))]
         elif design == "direct":  # identity basis
-            systems = [AugmentedSystem(aug.theta, aug.r, aug.c, aug.zo_selector)]
+            systems = [AugmentedSystem(aug.r, aug.c, aug.zo_selector)]
         calls = []
 
         def kept(rows, target):
@@ -590,7 +588,7 @@ class TestTimeAverageError:
         assert np.abs(x @ aug.a).max() > 0.1
         c = aug.c.copy()
         c[0] += 1e-3 * x
-        leaky = AugmentedSystem(aug.theta, aug.r, c, aug.zo_selector)
+        leaky = AugmentedSystem(aug.r, c, aug.zo_selector)
         rec = propagate(leaky, time_grid(20.0, 0.01))
         report = time_average_error(rec, leaky)
         assert report.reduction_residual == 0.0

@@ -15,8 +15,14 @@ from qobserver import (
     make_commutation_matrix,
     matrix_exponential,
     plant_from_transformed_output,
+    propagate,
     synthesize_observer,
+    time_average_error,
+    time_grid,
 )
+from qobserver import analysis, cli, config, model, simulation, synthesis
+from qobserver.config import PlantConfig, build_plant
+from qobserver.demo import sixmode_config
 from qobserver.synthesis import EQ_CONSISTENCY_TOL
 
 from conftest import random_passive_plant, random_spd, random_valid_plant, random_valid_system
@@ -24,8 +30,7 @@ from conftest import random_passive_plant, random_spd, random_valid_plant, rando
 
 def odd_m_plant():
     """n_p = 4, one estimated output: forces the padded observer order."""
-    theta = make_commutation_matrix(2)
-    return plant_from_transformed_output(theta, np.ones((4, 4)), np.array([[1.0, 0.0]]))
+    return plant_from_transformed_output(np.ones((4, 4)), np.array([[1.0, 0.0]]))
 
 
 class TestSynthesizeObserver:
@@ -78,15 +83,14 @@ class TestSynthesizeObserver:
 
     def test_refuses_failing_plant(self, sixmode):
         plant, _ = sixmode
-        bad = QuantumLinearSystem(plant.theta, plant.r, np.eye(2, 6))
+        bad = QuantumLinearSystem(plant.r, np.eye(2, 6))
         with pytest.raises(PlantConditionError, match=r"conditions \['tf_cond', 'cjc'\];"):
             synthesize_observer(decompose_plant(bad))
 
     def test_refuses_when_nothing_constant(self):
         rng = np.random.default_rng(7)
         g = rng.normal(size=(4, 4))
-        plant = QuantumLinearSystem(make_commutation_matrix(2), (g + g.T) / 2,
-                                    np.eye(1, 4))
+        plant = QuantumLinearSystem((g + g.T) / 2, np.eye(1, 4))
         with pytest.raises(PlantConditionError):
             synthesize_observer(decompose_plant(plant))
 
@@ -191,7 +195,7 @@ class TestAssembleAugmented:
     def test_rejects_zo_selector_of_wrong_shape(self, sixmode_system, shape):
         *_, aug = sixmode_system
         with pytest.raises(ValueError, match="zo_selector must have the shape of c"):
-            AugmentedSystem(aug.theta, aug.r, aug.c, np.zeros(shape))
+            AugmentedSystem(aug.r, aug.c, np.zeros(shape))
 
     @pytest.mark.parametrize("basis, match", [
         (np.eye(7, 4), "basis must have 8 rows"),
@@ -209,7 +213,7 @@ class TestAssembleAugmented:
         asymmetric = aug.r.copy()
         asymmetric[0, 7] += 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            AugmentedSystem(aug.theta, asymmetric, aug.c, aug.zo_selector)
+            AugmentedSystem(asymmetric, aug.c, aug.zo_selector)
 
     def test_constant_block_couples_only_through_coupling(self, sixmode_system):
         plant, dec, obs, aug = sixmode_system
@@ -238,8 +242,7 @@ class TestAssembleAugmented:
 
     def test_zero_hamiltonian_plant(self):
         theta = make_commutation_matrix(2)
-        plant, dec = plant_from_transformed_output(
-            theta, np.zeros((4, 4)), np.array([[1.0, 0, 0, 0]]))
+        plant, dec = plant_from_transformed_output(np.zeros((4, 4)), np.array([[1.0, 0, 0, 0]]))
         obs = synthesize_observer(dec)
         aug = assemble_augmented(plant, obs)
         # free plant: the plant-plant block vanishes, coupling enters as
@@ -249,14 +252,13 @@ class TestAssembleAugmented:
 
     def test_dimension_mismatch(self, sixmode_system):
         _, dec, obs, _ = sixmode_system
-        other = QuantumLinearSystem(make_commutation_matrix(2), np.zeros((4, 4)),
-                                    np.eye(2, 4))
+        other = QuantumLinearSystem(np.zeros((4, 4)), np.eye(2, 4))
         with pytest.raises(ValueError):
             assemble_augmented(other, obs)
 
     def test_output_count_mismatch(self, sixmode_system):
         plant, _, obs, _ = sixmode_system
-        one_output = QuantumLinearSystem(plant.theta, plant.r, plant.c[:1])
+        one_output = QuantumLinearSystem(plant.r, plant.c[:1])
         with pytest.raises(ValueError, match="observer estimates 2 outputs, plant has 1"):
             assemble_augmented(one_output, obs)
 
@@ -309,3 +311,38 @@ class TestObserverFlowBounds:
                 x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                 drift = max(drift, abs(0.5 * x @ r_o @ x - energy0))
             assert drift <= 1e-8
+
+
+class TestCommutationMatrixIsDerived:
+    """Theta is fixed by the mode count: no layer takes it, stores it or forms it."""
+
+    @pytest.mark.parametrize("design", ["sixmode", "random"])
+    def test_pipeline_forms_no_commutation_matrix(self, design, monkeypatch):
+        if design == "sixmode":
+            cfg = sixmode_config(t_end=20.0)
+        else:
+            plant, dec, obs, _ = random_valid_system(np.random.default_rng(41))
+            cfg = PlantConfig(n_p=plant.n, m=plant.m, r_p=plant.r, c_p2_tilde=dec.c_p2_tilde,
+                              r_o=obs.r_o, t_end=20.0)
+        calls = []
+
+        def counted(n_modes):
+            calls.append(n_modes)
+            return make_commutation_matrix(n_modes)
+
+        for module in (model, analysis, synthesis, config, simulation, cli):
+            if hasattr(module, "make_commutation_matrix"):
+                monkeypatch.setattr(module, "make_commutation_matrix", counted)
+        plant, dec = build_plant(cfg)
+        obs = synthesize_observer(dec, r_o=cfg.r_o)
+        aug = assemble_augmented(plant, obs)
+        conv = time_average_error(propagate(aug, time_grid(cfg.t_end, cfg.dt)), aug)
+        assert conv.zp_drift <= 1e-9
+        assert calls == []
+
+        for owner, name, size in ((plant, "theta", plant.n), (aug, "theta", aug.n),
+                                  (obs, "theta_o", obs.n_o), (dec, "theta22", dec.n_p2)):
+            assert name not in {field.name for field in dataclasses.fields(owner)}
+            value = getattr(owner, name)
+            assert not value.flags.writeable, name
+            assert np.array_equal(value, make_commutation_matrix(size // 2)), name
