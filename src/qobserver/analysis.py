@@ -131,7 +131,7 @@ def plant_from_transformed_output(r_p: np.ndarray, c_p2_tilde: np.ndarray):
         raise ValueError(
             f"c_p2_tilde must have n_p2 = {n_p2} columns for this dynamics pair, "
             f"got {c_p2_tilde.shape}")
-    c_p = np.hstack([np.zeros((c_p2_tilde.shape[0], n_p1)), c_p2_tilde]) @ p.T
+    c_p = c_p2_tilde @ p[:, n_p1:].T
     plant = QuantumLinearSystem(r_p, c_p)
     plant.__dict__["dynamics_basis"] = p, n_p1  # the cached_property's slot: read, not refactored
     return plant, _decomposed(plant, p, n_p1, c_p2_tilde)

@@ -46,7 +46,7 @@ RANK_TOL_SCALE = 1e-12
 def make_commutation_matrix(n_modes: int) -> np.ndarray:
     """The read-only canonical commutation matrix diag(J, ..., J) of ``n_modes``
     oscillator modes, 2 n_modes square: ``QuantumLinearSystem.theta`` of that size."""
-    if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
+    if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
         raise ValueError(f"n_modes must be a positive integer, got {n_modes!r}")
     theta = np.kron(np.eye(n_modes), J)
     theta.setflags(write=False)
@@ -112,25 +112,15 @@ def _hamiltonian(r) -> np.ndarray:
 def _pair_basis(theta: np.ndarray) -> np.ndarray:
     """Orthogonal Q with Q^T theta Q = diag(J, ..., J) for skew theta^2 = -I.
 
-    Greedy pairing: each unit vector u is paired with -theta u, which is a
-    unit vector orthogonal to u and to every previously paired plane
-    (theta-invariant subspaces have theta-invariant orthogonal complements).
-    u is the unit e_i farthest from the columns B built so far, projected
-    off them: ||(I - B B^T) e_i||^2 = 1 - ||B[i]||^2, so i is the row of B
-    of least norm.  Already-canonical input yields Q = I exactly.
+    The modes are the orthonormal eigenvectors a + ib of the Hermitian
+    i theta at +1, so theta a = b and theta b = -a; each is orthogonal to its
+    conjugate at -1, so |a| = |b| = 1/sqrt(2).  Q pairs sqrt(2) a with
+    -sqrt(2) b, mode by mode.
     """
-    n = theta.shape[0]
-    q = np.zeros((n, n))
-    for k in range(0, n, 2):
-        b = q[:, :k]
-        i = int(np.argmin(np.einsum("ij,ij->i", b, b)))
-        u = -(b @ b[i])
-        u[i] += 1.0
-        u /= np.linalg.norm(u)
-        v = -theta @ u
-        v -= b @ (b.T @ v)
-        v -= u * (u @ v)
-        q[:, k], q[:, k + 1] = u, v / np.linalg.norm(v)
+    lam, u = np.linalg.eigh(1j * theta)
+    u = np.sqrt(2.0) * u[:, lam > 0]
+    q = np.empty(theta.shape)
+    q[:, 0::2], q[:, 1::2] = u.real, -u.imag
     return q
 
 

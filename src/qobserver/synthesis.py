@@ -198,7 +198,7 @@ def synthesize_observer(dec: DecomposedPlant, *, omega: float = 1.0,
             f"observer matrices violate -C_o R_o^-1 beta = I (residual {consistency:.3e})")
 
     r_c_tilde = dec.c_p2_tilde.T @ beta.T
-    r_c = dec.p @ np.vstack([np.zeros((dec.n_p1, n_o)), r_c_tilde])
+    r_c = dec.p[:, dec.n_p1:] @ r_c_tilde
     return ObserverDesign(
         r_o=r_o, beta=beta, c_o=c_o, r_c_tilde=r_c_tilde, r_c=r_c, n_o=n_o,
         consistency_residual=consistency, conditions=report,

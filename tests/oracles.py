@@ -105,30 +105,6 @@ def span_rank(theta, r):
     return int(np.count_nonzero(s > s[0] * (max(cr.shape) * 1e-12)))
 
 
-def pair_basis_reference(theta):
-    """Orthogonal Q with Q^T theta Q = diag(J, ..., J) for skew theta^2 = -I.
-
-    Greedy pairing with the projector I - B B^T onto the complement of the
-    columns B built so far, rebuilt for every mode pair (O(n^4)): its
-    column of largest norm is u, paired with -theta u orthogonalised.
-    """
-    n = theta.shape[0]
-    cols = []
-    for _ in range(n // 2):
-        b = np.column_stack(cols) if cols else np.zeros((n, 0))
-        resid = np.eye(n) - b @ b.T
-        norms = np.linalg.norm(resid, axis=0)
-        u = resid[:, int(np.argmax(norms))]
-        u = u / np.linalg.norm(u)
-        v = -theta @ u
-        if cols:
-            v = v - b @ (b.T @ v)
-        v = v - u * (u @ v)
-        v = v / np.linalg.norm(v)
-        cols.extend([u, v])
-    return np.column_stack(cols)
-
-
 def average_error_reference(obs, c_p, times):
     """``|zo_avg(T) - [C_p, 0]|_F`` from Van Loan's block exponential.
 

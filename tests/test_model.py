@@ -37,7 +37,7 @@ class TestMakeCommutationMatrix:
         assert np.array_equal(theta.T, -theta)
         assert np.array_equal(theta @ theta, -np.eye(n))
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
     def test_rejects_invalid_mode_count(self, bad):
         with pytest.raises(ValueError):
             make_commutation_matrix(bad)

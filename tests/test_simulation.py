@@ -6,11 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.stats import unitary_group
 
 from qobserver import (
     AugmentedSystem,
     assemble_augmented,
+    check_plant_conditions,
     matrix_exponential,
+    model,
     predicted_average_error,
     propagate,
     simulation,
@@ -18,9 +21,12 @@ from qobserver import (
     time_average_error,
     time_grid,
 )
+from qobserver.config import build_plant
+from qobserver.demo import sixmode_config
 from qobserver.simulation import DRIFT_TOL, _distances
 
-from conftest import random_passive_plant, random_spd, random_valid_system
+from conftest import (random_passive_plant, random_spd, random_valid_plant,
+                      random_valid_system, real_embedding)
 from oracles import (average_error_reference, full_composite_rows, integrated_average,
                      ode_oracle, stepped_rows)
 
@@ -644,6 +650,53 @@ class TestTimeAverageError:
         finally:
             tracemalloc.stop()
         assert peak < sixmode_record.zo_avg.nbytes / 3
+
+
+class TestConstantBlockBasis:
+    """The constant block's basis is one choice among unitarily equivalent ones:
+    no verdict and no convergence figure depends on it."""
+
+    @staticmethod
+    def run(draw):
+        plant, dec = draw()
+        obs = synthesize_observer(dec)
+        aug = assemble_augmented(plant, obs)
+        conv = time_average_error(propagate(aug, time_grid(50.0, 0.01)), aug)
+        return dec, check_plant_conditions(plant), obs, aug, conv
+
+    @pytest.mark.parametrize("design", ["sixmode", "valid", "passive"])
+    def test_results_do_not_depend_on_the_pairing(self, design, monkeypatch):
+        # the pairing is rotated by the real form E of a random unitary, which
+        # keeps E^T diag(J, ..., J) E = diag(J, ..., J)
+        draws = {
+            "sixmode": [lambda: build_plant(sixmode_config())],
+            "valid": [lambda seed=seed: random_valid_plant(np.random.default_rng(seed),
+                                                           n_modes=int(3 + seed % 3))
+                      for seed in range(6)],
+            "passive": [lambda shape=shape: random_passive_plant(np.random.default_rng(7), *shape)
+                        for shape in ((3, 1, 1), (4, 2, 2), (5, 1, 3))],
+        }[design]
+        runs = [[self.run(draw) for draw in draws]]
+        rng = np.random.default_rng(211)
+        pair_basis = model._pair_basis
+
+        def rotated(theta):
+            u = unitary_group.rvs(len(theta) // 2, random_state=rng)
+            return pair_basis(theta) @ real_embedding(u)
+
+        monkeypatch.setattr(model, "_pair_basis", rotated)
+        runs.append([self.run(draw) for draw in draws])
+        for (dec0, cond0, obs0, aug0, conv0), (dec1, cond1, obs1, _, conv1) in zip(*runs):
+            assert np.abs(dec1.p[:, dec1.n_p1:] - dec0.p[:, dec0.n_p1:]).max() > 1e-3
+            assert dec1.residuals["theta22_canonical"] <= 1e-14
+            assert (cond1.flags, cond1.rank_cr) == (cond0.flags, cond0.rank_cr)
+            assert (obs1.n_o, conv1.passed) == (obs0.n_o, conv0.passed)
+            # the slope is fitted to log errors, so its round-off is relative
+            bound = roundoff(aug0, 50.0)
+            bounds = {"final_error": bound, "zp_drift": bound,
+                      "decay_slope": bound / conv0.final_error}
+            for name, tol in bounds.items():
+                assert abs(getattr(conv1, name) - getattr(conv0, name)) <= tol, name
 
 
 class TestPredictedAverageError:
