@@ -19,18 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import DecomposedPlant, transformed_condition_check
-from .config import ConfigError, PlantConfig, build_plant, load_config
+from .config import PlantConfig, build_plant, load_config
 from .demo import sixmode_config
 from .model import ConditionReport, check_plant_conditions
-from .simulation import (DRIFT_TOL, SLOPE_WINDOW, _check_record, propagate,
-                         time_average_error, time_grid)
-from .synthesis import (
-    ObserverDesign,
-    PlantConditionError,
-    _observer_order,
-    assemble_augmented,
-    synthesize_observer,
-)
+from .simulation import _check_record, propagate, time_average_error, time_grid
+from .synthesis import ObserverDesign, PlantConditionError, assemble_augmented, synthesize_observer
 
 __all__ = ["RunReport", "main", "cmd_analyze", "cmd_synthesize", "cmd_simulate",
            "cmd_demo", "write_matrices_csv", "write_trajectory_csv"]
@@ -174,22 +167,22 @@ def cmd_synthesize(config_path, out_path, report_path=None, **overrides) -> RunR
 
 
 def cmd_simulate(config_path, out_dir, **overrides) -> RunReport:
-    return _simulate(dataclasses.replace(load_config(config_path), **overrides),
-                     out_dir, label=str(config_path))
+    report = _simulate(dataclasses.replace(load_config(config_path), **overrides),
+                       out_dir, label=str(config_path))
+    _write_report(report, Path(out_dir) / "report.json")
+    return report
 
 
 def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
-    # judged before time_grid allocates the times
-    _check_record(cfg.t_end / cfg.dt + 1, cfg.m, cfg.n_p + _observer_order(cfg.m))
-    times = time_grid(cfg.t_end, cfg.dt)
-    if times[-1] < 10:
-        raise ConfigError(f"grid ends at t = {times[-1]:g} (t_end = {cfg.t_end}, "
-                          f"dt = {cfg.dt}): convergence evaluation needs t_end >= 10")
+    """Design, propagate, judge and write the CSVs; the caller writes ``report.json``."""
     plant, dec, obs = _design(cfg)
     if cfg.zero_coupling:
         obs = dataclasses.replace(obs, r_c=np.zeros_like(obs.r_c),
                                   r_c_tilde=np.zeros_like(obs.r_c_tilde))
     aug = assemble_augmented(plant, obs)
+    # the CSVs are n wide: judged before time_grid allocates the times
+    _check_record(cfg.t_end / cfg.dt + 1, aug.m, aug.n)
+    times = time_grid(cfg.t_end, cfg.dt)
     record = propagate(aug, times)
     convergence = time_average_error(record, aug)
 
@@ -203,16 +196,6 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
         write_trajectory_csv(path, record.times, coeffs, stream)
         files.append(str(path))
 
-    report = RunReport(
-        conditions=_conditions_dict(obs.conditions),
-        decomposition=_decomposition_dict(dec),
-        observer=_observer_dict(obs),
-        convergence=dataclasses.asdict(convergence),
-        csv_files=files,
-        passed=convergence.passed,
-    )
-    _write_report(report, out_dir / "report.json")
-    report.csv_files.append(str(out_dir / "report.json"))
     print(f"simulate {label}: t_end = {float(times[-1])}, dt = {cfg.dt}")
     print(f"  zp drift        {convergence.zp_drift:.3e}")
     print(f"  reduction resid {convergence.reduction_residual:.3e}")
@@ -221,35 +204,37 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
     print(f"  decay slope     {'n/a' if slope is None else f'{slope:.3f}'}")
     failure = convergence.first_failure
     print(f"  convergence     {'PASS' if failure is None else f'FAIL: {failure}'}")
-    return report
+    return RunReport(
+        conditions=_conditions_dict(obs.conditions),
+        decomposition=_decomposition_dict(dec),
+        observer=_observer_dict(obs),
+        convergence=dataclasses.asdict(convergence),
+        csv_files=files,
+        passed=convergence.passed,
+    )
 
 
 def cmd_demo(out_dir="qobserver-demo") -> RunReport:
-    """Run the bundled six-mode example end to end and check reference values."""
-    report = _simulate(sixmode_config(), out_dir, label="six-mode demo")
+    """Run the bundled six-mode example end to end and check the paper's reference values.
 
-    dec_doc = report.decomposition
-    obs_doc = report.observer
-    conv = report.convergence
+    The convergence verdict, printed by the simulation, covers drift and decay slope.
+    """
+    report = _simulate(sixmode_config(), out_dir, label="six-mode demo")
+    dec_doc, obs_doc = report.decomposition, report.observer
     expected_rct = [[-1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0]]
-    drift_tol = np.format_float_scientific(DRIFT_TOL, trim="-", exp_digits=1)
-    lo, hi = SLOPE_WINDOW
     checks = [
-        ("dynamics span rank = 2", report.conditions["rank_cr"] == 2),
         ("block sizes (2, 4)", (dec_doc["n_p1"], dec_doc["n_p2"]) == (2, 4)),
         ("dynamical Hamiltonian block eigenvalues {0, 6}",
          np.allclose(dec_doc["r_p11_eigenvalues"], [0.0, 6.0], atol=1e-9)),
         ("coupling block matches reference exactly",
          obs_doc["r_c_tilde"] == expected_rct),
         ("consistency residual = 0", obs_doc["consistency_residual"] == 0.0),
-        (f"plant outputs constant (drift <= {drift_tol})", conv["zp_drift"] <= DRIFT_TOL),
-        (f"time-average decay slope in [{lo}, {hi}]",
-         conv["decay_slope"] is not None and lo <= conv["decay_slope"] <= hi),
     ]
     print("\nsix-mode demo reference checks")
     for label, ok in checks:
         print(f"  {label:<50} {'PASS' if ok else 'FAIL'}")
     report.passed = report.passed and all(ok for _, ok in checks)
+    _write_report(report, Path(out_dir) / "report.json")
     return report
 
 
@@ -308,7 +293,7 @@ def main(argv=None) -> int:
     except PlantConditionError as exc:  # a ValueError too, so it is caught first
         print(f"synthesis refused: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:  # ConfigError and LinAlgError included
+    except (ValueError, OSError) as exc:  # configuration errors and LinAlgError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.passed else 1

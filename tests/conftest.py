@@ -1,5 +1,5 @@
 """Shared fixtures: the bundled six-mode system, its record, randomized valid plants,
-and configuration files written from a ``PlantConfig``."""
+configuration files written from a ``PlantConfig``, and the round-off of an average."""
 
 import json
 from dataclasses import fields
@@ -122,6 +122,11 @@ def random_passive_plant(rng, n_modes, rank, m):
     c[:, 0::2], c[:, 1::2] = zero_modes.real, zero_modes.imag
     plant = QuantumLinearSystem(r, c)
     return plant, decompose_plant(plant)
+
+
+def roundoff(aug, times):
+    """Round-off of an exact average at each of ``times``: ``1e-12 + 4 eps |A|_2 t``."""
+    return 1e-12 + 4 * np.finfo(float).eps * np.linalg.norm(aug.a, 2) * np.asarray(times)
 
 
 def random_spd(rng, n, eig_range=(0.5, 2.0)):

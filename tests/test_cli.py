@@ -19,6 +19,7 @@ from qobserver import (
     check_plant_conditions,
     decompose_plant,
     propagate,
+    simulation,
     synthesize_observer,
 )
 from qobserver.cli import (
@@ -26,6 +27,7 @@ from qobserver.cli import (
     _write_report,
     cmd_analyze,
     cmd_demo,
+    cmd_simulate,
     main,
     write_matrices_csv,
     write_trajectory_csv,
@@ -454,10 +456,31 @@ class TestCliCommands:
         assert code == 2
 
     def test_simulate_rejects_grid_ending_short(self, tmp_path, sixmode_path, capsys):
-        # dt = 3 rounds t_end = 10 to a grid that ends at 9
+        # dt = 3 rounds t_end = 10 to a grid that ends at 9; time_average_error refuses it
         code = main(["simulate", str(sixmode_path), str(tmp_path / "x"),
                      "--t-end", "10", "--dt", "3"])
-        assert_input_error(code, capsys)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and err.startswith("error:")
+        assert "t_end >= 10" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_simulate_refuses_a_full_width_record_before_any_grid(
+            self, tmp_path, sixmode_path, capsys, monkeypatch):
+        # the bound lies between the record in propagate's basis, d = m + n_o = 4
+        # wide, and the n_p + n_o = 8 wide CSVs, so only the CLI's check refuses it
+        cfg = sixmode_config()
+        points = cfg.t_end / cfg.dt + 1
+        monkeypatch.setattr(simulation, "MAX_RECORD_BYTES", 24 * points * cfg.m * 8 - 8)
+        propagated = []
+        monkeypatch.setattr("qobserver.cli.propagate", lambda *args: propagated.append(args))
+        out_dir = tmp_path / "x"
+        code = main(["simulate", str(sixmode_path), str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "would exceed MAX_RECORD_BYTES" in err
+        assert "48 doubles per point" in err
+        assert propagated == [] and not out_dir.exists()
 
     # "--dt 1e-300" and "--t-end 1e300" are finite, but their grids (about 1e302
     # points) cannot be held; neither can the step exponentials of "--omega 1e31"
@@ -710,7 +733,9 @@ class TestDemo:
         out = capsys.readouterr().out
         assert report.passed
         assert "FAIL" not in out
-        assert out.count("PASS") >= 7
+        # the four reference checks and the convergence verdict
+        assert out.count("PASS") == 5
+        assert "  convergence     PASS\n" in out
         assert report.conditions["rank_cr"] == 2
         assert report.observer["r_c_tilde"] == [
             [-1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0]]
@@ -729,3 +754,22 @@ class TestRunReport:
         rebuilt = RunReport(**json.loads(json.dumps(doc)))
         assert rebuilt == RunReport(**doc)
         assert rebuilt.to_dict() == report.to_dict()
+
+    def test_simulate_returns_the_report_it_writes(self, fast_sixmode_path, tmp_path):
+        report = cmd_simulate(fast_sixmode_path, tmp_path / "run")
+        written = RunReport(**json.loads((tmp_path / "run" / "report.json").read_text()))
+        assert written == report
+        assert report.csv_files == [str(tmp_path / "run" / name)
+                                    for name in ("zp.csv", "zo.csv", "zo_avg.csv")]
+
+    @pytest.mark.parametrize("reference", ["pass", "fail"])
+    def test_demo_returns_the_report_it_writes(self, tmp_path, monkeypatch, reference):
+        if reference == "fail":
+            # R_o = 2 I doubles the coupling block: a reference check fails, the verdict passes
+            monkeypatch.setattr("qobserver.cli.sixmode_config", lambda: dataclasses.replace(
+                sixmode_config(), r_o=2 * np.eye(2)))
+        report = cmd_demo(out_dir=tmp_path / "demo")
+        written = RunReport(**json.loads((tmp_path / "demo" / "report.json").read_text()))
+        assert written == report
+        assert report.convergence["passed"]
+        assert report.passed == (reference == "pass")

@@ -26,7 +26,7 @@ from qobserver.demo import sixmode_config
 from qobserver.simulation import DRIFT_TOL, _distances
 
 from conftest import (random_passive_plant, random_spd, random_valid_plant,
-                      random_valid_system, real_embedding)
+                      random_valid_system, real_embedding, roundoff)
 from oracles import (average_error_reference, full_composite_rows, integrated_average,
                      ode_oracle, stepped_rows)
 
@@ -40,11 +40,6 @@ def single_mode_system(r=None):
     """A 1-mode augmented stand-in: A = 2 J R with selectors on each row."""
     return AugmentedSystem(r=np.eye(2) if r is None else r, c=np.eye(1, 2),
                            zo_selector=np.eye(1, 2, k=1))
-
-
-def roundoff(aug, times):
-    """Round-off of an exact average at each of ``times``: ``1e-12 + 4 eps |A|_2 t``."""
-    return 1e-12 + 4 * np.finfo(float).eps * np.linalg.norm(aug.a, 2) * np.asarray(times)
 
 
 def frobenius_drift(rec):
