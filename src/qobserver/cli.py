@@ -4,8 +4,9 @@ Exit codes: 0 all checks passed, 1 a structural or convergence check
 failed (``PlantConditionError`` included), 2 any other refused input: a
 ``ValueError`` or ``OSError`` from any layer.  ``main`` alone maps errors
 to these codes.
-All numeric output is written with 17 significant digits so that
-re-ingesting a file reproduces the exact floating-point values.
+Every CSV value is written by orjson as the shortest decimal that re-reads
+to the same double, so re-ingesting a file reproduces the exact
+floating-point values; a non-finite value is refused, never written.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .analysis import DecomposedPlant, transformed_condition_check
 from .config import PlantConfig, build_plant, load_config
@@ -28,7 +30,8 @@ from .synthesis import ObserverDesign, PlantConditionError, assemble_augmented, 
 __all__ = ["RunReport", "main", "cmd_analyze", "cmd_synthesize", "cmd_simulate",
            "cmd_demo", "write_matrices_csv", "write_trajectory_csv"]
 
-FLOAT_FMT = "%.17g"
+# Values formatted at a time: only one block's text is alive at once.
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclasses.dataclass
@@ -50,23 +53,37 @@ class RunReport:
 # CSV interchange
 # ---------------------------------------------------------------------------
 
+def _decimals(values: np.ndarray, path) -> bytes:
+    """The JSON array of the float64 ``values``, each the shortest decimal that re-reads to it."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: refusing to write a non-finite value")
+    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
 def write_trajectory_csv(path, times: np.ndarray, coeffs: np.ndarray, stream: str):
     """Write coefficient trajectories: columns t, z{stream}_{i}_x{j} (1-based)."""
     n_t = len(times)
     m, n = coeffs.shape[1], coeffs.shape[2]
     header = ["t"] + [f"z{stream}_{i + 1}_x{j + 1}"
                       for i in range(m) for j in range(n)]
-    data = np.hstack([np.asarray(times).reshape(n_t, 1), coeffs.reshape(n_t, m * n)])
-    np.savetxt(path, data, fmt=FLOAT_FMT, delimiter=",",
-               header=",".join(header), comments="")
+    times, flat = np.asarray(times).reshape(n_t, 1), coeffs.reshape(n_t, m * n)
+    rows = max(1, _BLOCK_VALUES // (m * n + 1))
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        for k in range(0, n_t, rows):
+            block = np.concatenate((times[k:k + rows], flat[k:k + rows]), axis=1, dtype=float)
+            fh.write(_decimals(block, path)[2:-2].replace(b"],[", b"\n") + b"\n")
 
 
 def write_matrices_csv(path, matrices: dict):
     """Write named matrices in long form: matrix,row,col,value (0-based), CRLF-ended."""
-    lines = ["matrix,row,col,value"] + [
-        f"{name},{i},{j},{FLOAT_FMT % v}" for name, mat in matrices.items()
-        for i, row in enumerate(np.atleast_2d(mat).tolist()) for j, v in enumerate(row)]
-    Path(path).write_text("\r\n".join(lines) + "\r\n", newline="")
+    lines = [b"matrix,row,col,value"]
+    for name, mat in matrices.items():
+        mat = np.atleast_2d(np.asarray(mat, dtype=float))
+        values = _decimals(mat.ravel(), path)[1:-1].split(b",") if mat.size else []
+        lines += [b"%s,%d,%d,%s" % (name.encode(), *divmod(k, mat.shape[1]), v)
+                  for k, v in enumerate(values)]
+    Path(path).write_bytes(b"\r\n".join(lines) + b"\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ basis when the plant is built.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .analysis import decompose_plant, plant_from_transformed_output
 from .model import CONDITION_TOL, QuantumLinearSystem
@@ -145,12 +145,12 @@ def config_from_dict(doc: dict) -> PlantConfig:
 def load_config(path) -> PlantConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return config_from_dict(doc)
 

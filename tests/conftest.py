@@ -39,6 +39,12 @@ def config_to_dict(cfg):
     return doc
 
 
+def same_bits(a, b) -> bool:
+    """Whether two float64 arrays hold the same doubles, signed zeros told apart."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def save_config(cfg, path):
     """Write ``cfg`` as a configuration file that ``load_config`` reads back."""
     Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")

@@ -17,6 +17,7 @@ from qobserver import (
     PlantConditionError,
     QuantumLinearSystem,
     check_plant_conditions,
+    cli,
     decompose_plant,
     propagate,
     simulation,
@@ -42,7 +43,7 @@ from qobserver.config import (
 from qobserver.demo import sixmode_config
 from qobserver.synthesis import EQ_CONSISTENCY_TOL
 
-from conftest import config_to_dict, random_valid_plant, save_config
+from conftest import config_to_dict, random_valid_plant, same_bits, save_config
 
 
 def read_trajectory_csv(path):
@@ -242,6 +243,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
 
+    def test_non_utf8_config_is_refused_with_its_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"format_version": 1, "name": "ø"}'.encode("latin-1"))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:")):
+            load_config(path)
+        assert_input_error(main(["analyze", str(path)]), capsys)
+
+    # refused by the parser itself, at the literal, before any field is judged
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_parser_refuses_nonfinite_literals(self, sixmode_path, tmp_path, capsys, literal):
+        text = sixmode_path.read_text().replace('"format_version": 1',
+                                                f'"format_version": 1,\n"tol": {literal}')
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:") + r"3:\d+: "):
+            load_config(path)
+        code = main(["simulate", str(path), str(tmp_path / "x")])
+        assert_input_error(code, capsys)
+        assert not (tmp_path / "x").exists()
+
+    def test_integer_beyond_64_bits_reads_as_a_double(self, sixmode_path):
+        sixmode_path.write_text(sixmode_path.read_text().replace(
+            '"format_version": 1', f'"format_version": 1, "tol": {2**70}'))
+        assert load_config(sixmode_path).tol == float(2**70)
+
     def test_tol_absent_or_null_means_default(self):
         doc = config_to_dict(sixmode_config())
         assert "tol" not in doc
@@ -277,6 +303,47 @@ class TestCsvInterchange:
         times, avg, _ = read_trajectory_csv(path)
         assert times.tolist() == [0.0]
         assert np.array_equal(avg, aug.zo_selector.reshape(1, -1))
+
+    def test_trajectory_blocks_do_not_change_the_bytes(self, sixmode_system, tmp_path,
+                                                       monkeypatch):
+        *_, aug = sixmode_system
+        rec = propagate(aug, np.linspace(0.0, 1.0, 23))
+        whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+        write_trajectory_csv(whole, rec.times, rec.zo_coeffs, "o")
+        # 17 values a row: one row per block, then two rows per block
+        for values in (1, 40):
+            monkeypatch.setattr(cli, "_BLOCK_VALUES", values)
+            write_trajectory_csv(blocked, rec.times, rec.zo_coeffs, "o")
+            assert blocked.read_bytes() == whole.read_bytes()
+        assert whole.read_bytes().count(b"\n") == 24 and b"\r" not in whole.read_bytes()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("row", [0, 19])
+    def test_trajectory_writer_refuses_nonfinite(self, tmp_path, monkeypatch, value, row):
+        monkeypatch.setattr(cli, "_BLOCK_VALUES", 10)  # three rows of 3 values per block
+        coeffs = np.ones((20, 1, 2))
+        coeffs[row, 0, 1] = value
+        path = tmp_path / "zo.csv"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            write_trajectory_csv(path, np.arange(20.0), coeffs, "o")
+        assert b"null" not in path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            write_trajectory_csv(path, np.where(np.arange(20) == row, value, 1.0),
+                                 np.ones((20, 1, 2)), "o")
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_matrices_writer_refuses_nonfinite(self, tmp_path, value):
+        path = tmp_path / "mats.csv"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            write_matrices_csv(path, {"a": np.eye(2), "b": np.array([[1.0, value]])})
+        assert not path.exists()  # each matrix is judged before any line is written
+
+    def test_matrices_keep_shapes_and_crlf(self, tmp_path):
+        path = tmp_path / "mats.csv"
+        write_matrices_csv(path, {"row": [1, -0.0, 5e-324], "empty": np.zeros((0, 3)),
+                                  "col": np.array([[0.1], [1e22]])})
+        assert path.read_bytes() == (b"matrix,row,col,value\r\nrow,0,0,1.0\r\nrow,0,1,-0.0\r\n"
+                                     b"row,0,2,5e-324\r\ncol,0,0,0.1\r\ncol,1,0,1e22\r\n")
 
     @pytest.mark.parametrize("rows", [
         ["r_o,0,0,1", "r_o,1,1,1"],                                   # missing cells
@@ -447,8 +514,11 @@ class TestCliCommands:
         plant, _, obs = _design(cfg)
         aug = assemble_augmented(plant, obs)
         record = propagate(aug, time_grid(cfg.t_end, cfg.dt))
-        _, zo, _ = read_trajectory_csv(out_dir / "zo.csv")
-        assert np.array_equal(zo, record.zo_coeffs.reshape(len(record.times), -1))
+        for name, coeffs in (("zp.csv", record.zp_coeffs), ("zo.csv", record.zo_coeffs),
+                             ("zo_avg.csv", record.zo_avg)):
+            times, written, _ = read_trajectory_csv(out_dir / name)
+            assert same_bits(times, record.times)
+            assert same_bits(written, coeffs.reshape(len(record.times), -1))
 
     def test_simulate_rejects_too_short_horizon(self, tmp_path, sixmode_path):
         code = main(["simulate", str(sixmode_path), str(tmp_path / "x"),
