@@ -26,7 +26,6 @@ from .model import (
 from .simulation import (
     ConvergenceReport,
     TrajectoryRecord,
-    matrix_exponential,
     predicted_average_error,
     propagate,
     time_average_error,
@@ -61,7 +60,6 @@ __all__ = [
     "assemble_augmented",
     "TrajectoryRecord",
     "ConvergenceReport",
-    "matrix_exponential",
     "time_grid",
     "propagate",
     "time_average_error",

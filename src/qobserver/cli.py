@@ -214,7 +214,6 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
         files.append(str(path))
 
     print(f"simulate {label}: t_end = {float(times[-1])}, dt = {cfg.dt}")
-    print(f"  zp drift        {convergence.zp_drift:.3e}")
     print(f"  reduction resid {convergence.reduction_residual:.3e}")
     print(f"  final avg error {convergence.final_error:.3e}")
     slope = convergence.decay_slope
@@ -234,7 +233,8 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
 def cmd_demo(out_dir="qobserver-demo") -> RunReport:
     """Run the bundled six-mode example end to end and check the paper's reference values.
 
-    The convergence verdict, printed by the simulation, covers drift and decay slope.
+    The convergence verdict, printed by the simulation, covers the reduction residual and
+    the decay slope.
     """
     report = _simulate(sixmode_config(), out_dir, label="six-mode demo")
     dec_doc, obs_doc = report.decomposition, report.observer

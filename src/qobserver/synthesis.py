@@ -9,18 +9,21 @@ acts only on the constant plant coordinates: ``R_c_tilde = c_p2_tilde^T
 beta^T``, mapped back to original coordinates through the decomposition
 basis.  With this structure the plant outputs stay constant under the
 coupling and the time average of the observer outputs converges to them.
+The assembled composite derives the basis its output rows are kept in,
+``diag(Q, I_{n_o})`` with Q spanning the rows of ``C_p``: there the plant rows
+are constant and the observer block is a network of harmonic oscillators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .analysis import DecomposedPlant
 from .model import (
     CONDITION_TOL,
-    RANK_TOL_SCALE,
     ConditionReport,
     QuantumLinearSystem,
     _as_matrix,
@@ -103,17 +106,14 @@ class AugmentedSystem(QuantumLinearSystem):
     and ``c = [c_p, 0]`` picks the plant outputs out of the composite variables;
     ``zo_selector = [0, c_o]``, of the shape of ``c``, picks the observer outputs.
 
-    ``basis`` is an n x d matrix, d >= 1, with orthonormal columns whose span, as a
-    space of row vectors, should hold the output rows and be invariant under
-    ``A``; ``propagate`` steps the rows in it, and its record's
-    ``reduction_residual`` bounds the cost of any shortfall.  It defaults to
-    the identity.
-    ``assemble_augmented`` gives ``diag(Q, I_{n_o})`` with Q spanning the rows
-    of ``c_p``: d = m + n_o.
+    ``basis`` (derived, read-only) is ``diag(Q, I_{n_o})``, n_o the observer order of m
+    and Q from a QR of the first n - n_o columns of ``c``: d = m + n_o orthonormal columns
+    whose span, as a space of row vectors, holds the output rows.  ``propagate`` keeps
+    the rows in it, and its record's ``reduction_residual`` bounds what that leaves
+    out.  A composite with fewer than m plant variables beside its observer is refused.
     """
 
     zo_selector: np.ndarray
-    basis: np.ndarray | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -121,15 +121,20 @@ class AugmentedSystem(QuantumLinearSystem):
         if zo_selector.shape != self.c.shape:
             raise ValueError(f"zo_selector must have the shape of c, {self.c.shape}, "
                              f"got {zo_selector.shape}")
-        basis = np.eye(self.n) if self.basis is None else _as_matrix(self.basis, "basis")
-        if basis.shape[0] != self.n or not 0 < basis.shape[1] <= self.n:
-            raise ValueError(f"basis must have {self.n} rows and 1 to {self.n} columns, "
-                             f"got {basis.shape}")
-        if np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) > \
-                self.n * RANK_TOL_SCALE:
-            raise ValueError("basis columns must be orthonormal")
+        n_o = _observer_order(self.m)
+        if self.n - n_o < self.m:
+            raise ValueError(f"a composite of {self.n} variables has {self.n - n_o} beside its "
+                             f"observer of order {n_o}, fewer than its {self.m} outputs")
         object.__setattr__(self, "zo_selector", _read_only(zo_selector))
-        object.__setattr__(self, "basis", _read_only(basis))
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        n_p = self.n - _observer_order(self.m)
+        basis = np.zeros((self.n, self.n - n_p + self.m))
+        basis[:n_p, :self.m] = np.linalg.qr(self.c[:, :n_p].T)[0]
+        basis[n_p:, self.m:] = np.eye(self.n - n_p)
+        basis.setflags(write=False)
+        return basis
 
 
 def _checked(name: str, a, shape: tuple) -> np.ndarray:
@@ -209,8 +214,8 @@ def assemble_augmented(plant: QuantumLinearSystem,
                        obs: ObserverDesign) -> AugmentedSystem:
     """Stack plant and observer into the closed composite system.
 
-    Its ``basis`` is ``diag(Q, I_{n_o})``, Q from a QR of ``C_p^T``.  The rows
-    it spans are invariant when the coupling is ``R_c = C_p^T beta^T`` and
+    Its derived ``basis`` is ``diag(Q, I_{n_o})``, Q from a QR of ``C_p^T``.  The
+    rows it spans are invariant when the coupling is ``R_c = C_p^T beta^T`` and
     ``C_p Theta_p R_p = 0``, ``C_p Theta_p C_p^T = 0``: then ``[C_p, 0] A = 0``
     and ``[0, e] A = 2 [e Theta_o beta C_p, e Theta_o R_o]``.
     """
@@ -222,6 +227,4 @@ def assemble_augmented(plant: QuantumLinearSystem,
     return AugmentedSystem(
         r=np.block([[plant.r, obs.r_c], [obs.r_c.T, obs.r_o]]),
         c=np.hstack([plant.c, np.zeros((m, n_o))]),
-        zo_selector=np.hstack([np.zeros((m, n_p)), obs.c_o]),
-        basis=np.block([[np.linalg.qr(plant.c.T)[0], np.zeros((n_p, n_o))],
-                        [np.zeros((n_o, min(n_p, m))), np.eye(n_o)]]))
+        zo_selector=np.hstack([np.zeros((m, n_p)), obs.c_o]))

@@ -106,6 +106,18 @@ def strict_json_constant(name):
     raise ValueError(f"report holds the non-JSON constant {name}")
 
 
+def assert_judged_failure(code, capsys, out_dir, check):
+    """A run judged to the end: exit 1, the verdict failing on ``check``, and a strict-JSON
+    report whose convergence figures are finite numbers."""
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1].startswith(f"  convergence     FAIL: {check} ")
+    report = json.loads((out_dir / "report.json").read_text(), parse_constant=strict_json_constant)
+    for key in ("final_error", "decay_slope", "reduction_residual"):
+        value = report["convergence"][key]
+        assert isinstance(value, float) and np.isfinite(value), key
+
+
 def write_changed_config(sixmode_path, tmp_path, section, key, value) -> str:
     """The six-mode config with ``key`` of ``section`` (None: the top level) set to ``value``."""
     doc = json.loads(sixmode_path.read_text())
@@ -553,8 +565,10 @@ class TestCliCommands:
         assert propagated == [] and not out_dir.exists()
 
     # "--dt 1e-300" and "--t-end 1e300" are finite, but their grids (about 1e302
-    # points) cannot be held; neither can the step exponentials of "--omega 1e31"
-    # and "1e160", nor the dynamics 2 theta R of "1e308"
+    # points) cannot be held, nor can the dynamics 2 theta R of "--omega 1e308".
+    # The record of "--omega 1e31" and "1e160" is formed in closed form and judged:
+    # the verdict fails on the reduction residual, 3.4e+19 and 2.3e+148
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag,value", [("--t-end", "inf"), ("--t-end", "nan"),
                                             ("--dt", "nan"), ("--omega", "inf"),
                                             ("--tol", "inf"), ("--dt", "1e-300"),
@@ -562,8 +576,12 @@ class TestCliCommands:
                                             ("--omega", "1e160"), ("--omega", "1e308")])
     def test_simulate_rejects_nonfinite_override(self, tmp_path, sixmode_path, capsys,
                                                  flag, value):
-        code = main(["simulate", str(sixmode_path), str(tmp_path / "x"), flag, value])
-        assert_input_error(code, capsys)
+        out_dir = tmp_path / "x"
+        code = main(["simulate", str(sixmode_path), str(out_dir), flag, value])
+        if value in ("1e31", "1e160"):
+            assert_judged_failure(code, capsys, out_dir, "reduction_residual")
+        else:
+            assert_input_error(code, capsys)
 
     @pytest.mark.parametrize("section,key,value", [
         ("simulation", "t_end", np.inf), ("simulation", "dt", np.nan),
@@ -604,9 +622,20 @@ class TestCliCommands:
         doc = json.loads(report_path.read_text())
         assert doc["observer"]["consistency_residual"] <= EQ_CONSISTENCY_TOL
         capsys.readouterr()
-        # beta = -1e300 I: the coupled dynamics are beyond the exponential's range
+        # beta = -1e300 I: the coupling's round-off, 3.2e+288, fails the verdict
         code = main(["simulate", path, str(tmp_path / "x")])
-        assert_input_error(code, capsys)
+        assert_judged_failure(code, capsys, tmp_path / "x", "reduction_residual")
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_output_selector_is_judged_without_overflow(self, tmp_path, sixmode_path,
+                                                            capsys):
+        # C_o = 1e300 I: the averaged error, about 6.5e+298, is a norm whose squares
+        # would overflow; each matrix is scaled by a power of two first
+        path = write_changed_config(sixmode_path, tmp_path, "observer", "c_o",
+                                    [1e300, 0.0, 0.0, 1e300])
+        out_dir = tmp_path / "x"
+        code = main(["simulate", path, str(out_dir), "--t-end", "20", "--dt", "0.1"])
+        assert_judged_failure(code, capsys, out_dir, "reduction_residual")
 
     def test_omega_override_conflicts_with_given_r_o(self, tmp_path, sixmode_path, capsys):
         path = write_changed_config(sixmode_path, tmp_path, "observer", "r_o",
@@ -705,7 +734,7 @@ class TestCliCommands:
         assert main(["simulate", str(fast_sixmode_path), str(tmp_path / "run")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line[:18] for line in lines[1:]] == [
-            "  zp drift        ", "  reduction resid ", "  final avg error ",
+            "  reduction resid ", "  final avg error ",
             "  decay slope     ", "  convergence     "]
         assert lines[-1] == "  convergence     PASS"
 
