@@ -24,13 +24,13 @@ from .analysis import DecomposedPlant, transformed_condition_check
 from .config import PlantConfig, build_plant, load_config
 from .demo import sixmode_config
 from .model import ConditionReport, check_plant_conditions
-from .simulation import _check_record, propagate, time_average_error, time_grid
+from .simulation import propagate, time_average_error, time_grid
 from .synthesis import ObserverDesign, PlantConditionError, assemble_augmented, synthesize_observer
 
 __all__ = ["RunReport", "main", "cmd_analyze", "cmd_synthesize", "cmd_simulate",
            "cmd_demo", "write_matrices_csv", "write_trajectory_csv"]
 
-# Values formatted at a time: only one block's text is alive at once.
+# Values mapped back and formatted at a time: only one n-wide block is alive at once.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -60,19 +60,24 @@ def _decimals(values: np.ndarray, path) -> bytes:
     return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
-def write_trajectory_csv(path, times: np.ndarray, coeffs: np.ndarray, stream: str):
-    """Write coefficient trajectories: columns t, z{stream}_{i}_x{j} (1-based)."""
-    n_t = len(times)
-    m, n = coeffs.shape[1], coeffs.shape[2]
-    header = ["t"] + [f"z{stream}_{i + 1}_x{j + 1}"
-                      for i in range(m) for j in range(n)]
-    times, flat = np.asarray(times).reshape(n_t, 1), coeffs.reshape(n_t, m * n)
-    rows = max(1, _BLOCK_VALUES // (m * n + 1))
+def write_trajectory_csv(path, times: np.ndarray, blocks, name: str):
+    """Write coefficient trajectories: columns t, {name}_{i}_x{j} (1-based).
+
+    ``blocks`` are consecutive k x m x n arrays of coefficients that together cover ``times``.
+    """
+    times, k = np.asarray(times).reshape(-1, 1), 0
     with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + b"\n")
-        for k in range(0, n_t, rows):
-            block = np.concatenate((times[k:k + rows], flat[k:k + rows]), axis=1, dtype=float)
-            fh.write(_decimals(block, path)[2:-2].replace(b"],[", b"\n") + b"\n")
+        for block in blocks:
+            m, n = block.shape[1:]
+            if k == 0:
+                header = ["t"] + [f"{name}_{i + 1}_x{j + 1}" for i in range(m) for j in range(n)]
+                fh.write(",".join(header).encode() + b"\n")
+            values = np.concatenate((times[k:k + len(block)], block.reshape(len(block), m * n)),
+                                    axis=1, dtype=float)
+            fh.write(_decimals(values, path)[2:-2].replace(b"],[", b"\n") + b"\n")
+            k += len(block)
+    if k != len(times):
+        raise ValueError(f"{path}: blocks of {k} rows for {len(times)} times")
 
 
 def write_matrices_csv(path, matrices: dict):
@@ -197,20 +202,18 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
         obs = dataclasses.replace(obs, r_c=np.zeros_like(obs.r_c),
                                   r_c_tilde=np.zeros_like(obs.r_c_tilde))
     aug = assemble_augmented(plant, obs)
-    # the CSVs are n wide: judged before time_grid allocates the times
-    _check_record(cfg.t_end / cfg.dt + 1, aug.m, aug.n)
     times = time_grid(cfg.t_end, cfg.dt)
     record = propagate(aug, times)
     convergence = time_average_error(record, aug)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    rows = max(1, _BLOCK_VALUES // (aug.m * aug.n + 1))
     files = []
-    for name, coeffs, stream in (("zp.csv", record.zp_coeffs, "p"),
-                                 ("zo.csv", record.zo_coeffs, "o"),
-                                 ("zo_avg.csv", record.zo_avg, "o_avg")):
-        path = out_dir / name
-        write_trajectory_csv(path, record.times, coeffs, stream)
+    for name in ("zp", "zo", "zo_avg"):
+        path = out_dir / f"{name}.csv"
+        write_trajectory_csv(path, times, (record.coefficients(name, k, k + rows)
+                                           for k in range(0, times.size, rows)), name)
         files.append(str(path))
 
     print(f"simulate {label}: t_end = {float(times[-1])}, dt = {cfg.dt}")

@@ -17,7 +17,6 @@ references that verify the record, a fixed-step RK4 integrator and scipy's
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +36,8 @@ __all__ = [
 # Convergence verdict: time averages decay like 1/T.
 DRIFT_TOL = 1e-6
 SLOPE_WINDOW = (-1.3, -0.7)
-# Largest array a grid may imply: its own times, or a record of 3 m w doubles per
-# point, w = d in propagate's basis and n_p + n_o for the derived zp, zo and zo_avg.
+# Largest array a grid may imply: its own times, or 3 m w doubles per point: w = d
+# for the record in propagate's basis, w = n for a read of its coefficients.
 MAX_RECORD_BYTES = 2**30
 
 
@@ -66,11 +65,10 @@ class TrajectoryRecord:
     Kept in the composite's ``basis`` B (n x d): ``rows[k]`` is ``[c; zo_selector]
     Phi(t_k) B``, the 2m output rows in B's coordinates, and ``zo_avg_rows[k]``
     the exact ``(1/t_k) integral_0^{t_k}`` of their bottom m rows, at t = 0 its
-    limit, the rows at 0.  Derived on first read, then kept: ``zp_coeffs``,
-    ``zo_coeffs`` and ``zo_avg``, the m x n rows ``rows[k, :m] B^T``,
-    ``rows[k, m:] B^T`` and ``zo_avg_rows[k] B^T``, row 0 exactly ``c``,
-    ``zo_selector`` and ``zo_selector``, refused if the three exceed ``MAX_RECORD_BYTES``.
-    ``reduction_residual`` bounds, to first order, the rows' distance from a full propagation.
+    limit, the rows at 0.  ``coefficients`` maps any block of them back to the m x n
+    original-coordinate rows; ``zp_coeffs``, ``zo_coeffs`` and ``zo_avg`` are its full
+    reads, formed on each read.  ``reduction_residual`` bounds, to first order, the
+    rows' distance from a full propagation.
     """
 
     times: np.ndarray
@@ -85,17 +83,23 @@ class TrajectoryRecord:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    @cached_property
-    def zp_coeffs(self) -> np.ndarray:
-        return _map_back(self.rows[:, :self.c.shape[0]], self.basis, self.c)
+    def coefficients(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The m x n rows of ``name`` ("zp", "zo" or "zo_avg") at ``times[start:stop]``, the
+        row at t = 0 exactly ``c`` or ``zo_selector``: ``rows @ basis.T``, refused if three
+        arrays of its size, 24 k m n bytes for k times, would exceed ``MAX_RECORD_BYTES``."""
+        m, (n, d) = self.c.shape[0], self.basis.shape
+        rows, first = {"zp": (self.rows[:, :m], self.c), "zo": (self.rows[:, m:], self.zo_selector),
+                       "zo_avg": (self.zo_avg_rows, self.zo_selector)}[name]
+        rows = rows[start:stop]
+        _check_record(len(rows), m, n)
+        back = (rows.reshape(-1, d) @ self.basis.T).reshape(len(rows), m, n)
+        if start == 0:
+            back[:1] = first
+        return back
 
-    @cached_property
-    def zo_coeffs(self) -> np.ndarray:
-        return _map_back(self.rows[:, self.c.shape[0]:], self.basis, self.zo_selector)
-
-    @cached_property
-    def zo_avg(self) -> np.ndarray:
-        return _map_back(self.zo_avg_rows, self.basis, self.zo_selector)
+    zp_coeffs = property(lambda self: self.coefficients("zp"))
+    zo_coeffs = property(lambda self: self.coefficients("zo"))
+    zo_avg = property(lambda self: self.coefficients("zo_avg"))
 
 
 @dataclass(frozen=True)
@@ -144,14 +148,6 @@ def _check_record(points: float, m: int, n: int) -> None:
     if not 24 * points * m * n <= MAX_RECORD_BYTES:
         raise ValueError(f"grid of {points:.3g} points: its record of {3 * m * n} doubles per "
                          f"point would exceed MAX_RECORD_BYTES = {MAX_RECORD_BYTES / 2**30:g} GiB")
-
-
-def _map_back(rows: np.ndarray, basis: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Rows k x m x d in ``basis`` coordinates as k x m x n rows, row 0 exactly ``first``."""
-    _check_record(len(rows), first.shape[0], basis.shape[0])
-    back = (rows.reshape(-1, basis.shape[1]) @ basis.T).reshape(*rows.shape[:2], -1)
-    back[0] = first
-    return back
 
 
 def _observer_modes(r_o: np.ndarray):

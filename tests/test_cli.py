@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,14 @@ from qobserver import (
     CONDITION_TOL,
     PlantConditionError,
     QuantumLinearSystem,
+    assemble_augmented,
     check_plant_conditions,
     cli,
     decompose_plant,
     propagate,
     simulation,
     synthesize_observer,
+    time_grid,
 )
 from qobserver.cli import (
     RunReport,
@@ -43,7 +46,13 @@ from qobserver.config import (
 from qobserver.demo import sixmode_config
 from qobserver.synthesis import EQ_CONSISTENCY_TOL
 
-from conftest import config_to_dict, random_valid_plant, same_bits, save_config
+from conftest import (
+    config_to_dict,
+    random_valid_plant,
+    random_valid_system,
+    same_bits,
+    save_config,
+)
 
 
 def read_trajectory_csv(path):
@@ -311,37 +320,46 @@ class TestCsvInterchange:
         *_, aug = sixmode_system
         rec = propagate(aug, [0.0])
         path = tmp_path / "zo_avg.csv"
-        write_trajectory_csv(path, rec.times, rec.zo_avg, "o_avg")
-        times, avg, _ = read_trajectory_csv(path)
-        assert times.tolist() == [0.0]
+        write_trajectory_csv(path, rec.times, [rec.zo_avg], "zo_avg")
+        times, avg, header = read_trajectory_csv(path)
+        assert times.tolist() == [0.0] and header[1] == "zo_avg_1_x1"
         assert np.array_equal(avg, aug.zo_selector.reshape(1, -1))
 
-    def test_trajectory_blocks_do_not_change_the_bytes(self, sixmode_system, tmp_path,
-                                                       monkeypatch):
-        *_, aug = sixmode_system
-        rec = propagate(aug, np.linspace(0.0, 1.0, 23))
-        whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
-        write_trajectory_csv(whole, rec.times, rec.zo_coeffs, "o")
-        # 17 values a row: one row per block, then two rows per block
+    def test_trajectory_blocks_do_not_change_the_bytes(self, tmp_path, monkeypatch, capsys):
+        # the demo's rows are 17 values: one row per block, two rows per block, then
+        # the default of 3 855 rows per block; each block mapped back on its own
+        names = ("zp.csv", "zo.csv", "zo_avg.csv", "report.json")
+        out_dir = tmp_path / "demo"
+        cmd_demo(out_dir)
+        default = [(out_dir / name).read_bytes() for name in names]
         for values in (1, 40):
             monkeypatch.setattr(cli, "_BLOCK_VALUES", values)
-            write_trajectory_csv(blocked, rec.times, rec.zo_coeffs, "o")
-            assert blocked.read_bytes() == whole.read_bytes()
-        assert whole.read_bytes().count(b"\n") == 24 and b"\r" not in whole.read_bytes()
+            cmd_demo(out_dir)
+            assert [(out_dir / name).read_bytes() for name in names] == default
+        assert default[0].count(b"\n") == 20_002 and b"\r" not in default[0]
+        assert capsys.readouterr().out.count("convergence     PASS") == 3
+
+    def test_trajectory_blocks_must_cover_the_times(self, tmp_path):
+        coeffs = np.ones((5, 1, 2))
+        path = tmp_path / "zo.csv"
+        with pytest.raises(ValueError, match="blocks of 4 rows for 5 times"):
+            write_trajectory_csv(path, np.arange(5.0), [coeffs[:2], coeffs[2:4]], "zo")
+        with pytest.raises(ValueError):
+            write_trajectory_csv(path, np.arange(5.0), [coeffs, coeffs[:1]], "zo")
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("row", [0, 19])
-    def test_trajectory_writer_refuses_nonfinite(self, tmp_path, monkeypatch, value, row):
-        monkeypatch.setattr(cli, "_BLOCK_VALUES", 10)  # three rows of 3 values per block
+    def test_trajectory_writer_refuses_nonfinite(self, tmp_path, value, row):
         coeffs = np.ones((20, 1, 2))
         coeffs[row, 0, 1] = value
         path = tmp_path / "zo.csv"
         with pytest.raises(ValueError, match=re.escape(str(path))):
-            write_trajectory_csv(path, np.arange(20.0), coeffs, "o")
+            write_trajectory_csv(path, np.arange(20.0),
+                                 [coeffs[k:k + 3] for k in range(0, 20, 3)], "zo")
         assert b"null" not in path.read_bytes()
         with pytest.raises(ValueError, match=re.escape(str(path))):
             write_trajectory_csv(path, np.where(np.arange(20) == row, value, 1.0),
-                                 np.ones((20, 1, 2)), "o")
+                                 [np.ones((20, 1, 2))], "zo")
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_matrices_writer_refuses_nonfinite(self, tmp_path, value):
@@ -521,9 +539,7 @@ class TestCliCommands:
         out_dir = tmp_path / "run"
         main(["simulate", str(fast_sixmode_path), str(out_dir)])
         cfg = load_config(fast_sixmode_path)
-        from qobserver import assemble_augmented, propagate, time_grid
-        from qobserver.cli import _design
-        plant, _, obs = _design(cfg)
+        plant, _, obs = cli._design(cfg)
         aug = assemble_augmented(plant, obs)
         record = propagate(aug, time_grid(cfg.t_end, cfg.dt))
         for name, coeffs in (("zp.csv", record.zp_coeffs), ("zo.csv", record.zo_coeffs),
@@ -547,22 +563,46 @@ class TestCliCommands:
         assert "t_end >= 10" in err
         assert not (tmp_path / "x").exists()
 
-    def test_simulate_refuses_a_full_width_record_before_any_grid(
-            self, tmp_path, sixmode_path, capsys, monkeypatch):
-        # the bound lies between the record in propagate's basis, d = m + n_o = 4
-        # wide, and the n_p + n_o = 8 wide CSVs, so only the CLI's check refuses it
+    def test_simulate_bounds_only_the_record_in_the_basis(self, tmp_path, sixmode_path,
+                                                          monkeypatch):
+        # a bound between the record in propagate's basis, d = m + n_o = 4 wide, and
+        # the n_p + n_o = 8 wide CSVs: the CSVs are written block by block, unchanged
+        names = ("zp.csv", "zo.csv", "zo_avg.csv")
+        out_dir = tmp_path / "x"
+        assert main(["simulate", str(sixmode_path), str(out_dir)]) == 0
+        default = [(out_dir / name).read_bytes() for name in names]
         cfg = sixmode_config()
         points = cfg.t_end / cfg.dt + 1
         monkeypatch.setattr(simulation, "MAX_RECORD_BYTES", 24 * points * cfg.m * 8 - 8)
-        propagated = []
-        monkeypatch.setattr("qobserver.cli.propagate", lambda *args: propagated.append(args))
-        out_dir = tmp_path / "x"
-        code = main(["simulate", str(sixmode_path), str(out_dir)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error:") and "would exceed MAX_RECORD_BYTES" in err
-        assert "48 doubles per point" in err
-        assert propagated == [] and not out_dir.exists()
+        assert main(["simulate", str(sixmode_path), str(out_dir)]) == 0
+        assert [(out_dir / name).read_bytes() for name in names] == default
+        monkeypatch.setattr(simulation, "MAX_RECORD_BYTES", 24 * points * cfg.m * 4 - 8)
+        assert main(["simulate", str(sixmode_path), str(out_dir)]) == 2
+
+    def test_simulate_holds_no_full_width_array(self, tmp_path):
+        # a large_plant-shaped design: n_p = 200, m = 4, 2 001 points, 816 values a
+        # row, so each CSV is written in 26 blocks, each mapped back on its own
+        plant, _, obs, _ = random_valid_system(np.random.default_rng(103), n_modes=100, m=4)
+        path, out_dir = tmp_path / "large.json", tmp_path / "run"
+        save_config(PlantConfig(n_p=plant.n, m=plant.m, r_p=plant.r, c_p=plant.c, r_o=obs.r_o,
+                                t_end=20.0), path)
+        tracemalloc.start()
+        try:
+            cmd_simulate(path, out_dir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cfg = load_config(path)
+        plant, _, obs = cli._design(cfg)
+        aug = assemble_augmented(plant, obs)
+        rec = propagate(aug, time_grid(cfg.t_end, cfg.dt))
+        assert aug.n == 204 and rec.times.size == 2001
+        assert peak < rec.times.size * aug.m * aug.n * 8
+        for name, coeffs in (("zp", rec.zp_coeffs), ("zo", rec.zo_coeffs),
+                             ("zo_avg", rec.zo_avg)):
+            written = np.loadtxt(out_dir / f"{name}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(written[:, 0], rec.times)
+            assert np.array_equal(written[:, 1:], coeffs.reshape(rec.times.size, -1))
 
     # "--dt 1e-300" and "--t-end 1e300" are finite, but their grids (about 1e302
     # points) cannot be held, nor can the dynamics 2 theta R of "--omega 1e308".

@@ -36,7 +36,7 @@ def trajectories(draw):
 def test_trajectory_csv_round_trips_every_double(tmp_path_factory, trajectory):
     times, coeffs = trajectory
     path = tmp_path_factory.getbasetemp() / "trajectory.csv"
-    write_trajectory_csv(path, times, coeffs, "o")
+    write_trajectory_csv(path, times, [coeffs], "zo")
     read = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert same_bits(read[:, 0], times)
     assert same_bits(read[:, 1:], coeffs.reshape(len(times), -1))

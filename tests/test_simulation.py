@@ -159,9 +159,10 @@ class TestPropagate:
         for name in ("zp_coeffs", "zo_coeffs", "zo_avg"):
             with pytest.raises(ValueError, match="per point would exceed MAX_RECORD_BYTES"):
                 getattr(record, name)
-        assert not {"zp_coeffs", "zo_coeffs", "zo_avg"} & record.__dict__.keys()
+        block = record.coefficients("zo_avg", 1, 3)  # a block is read within the bound
         monkeypatch.setattr(simulation, "MAX_RECORD_BYTES", 24 * times.size * aug.m * aug.n)
         assert record.zo_avg.shape == (times.size, aug.m, aug.n)
+        assert np.array_equal(block, record.zo_avg[1:3])
 
     def test_allocates_no_full_width_array(self):
         # a large_plant-shaped design: n_p = 200, m = 4, 2 001 points, d = 8
@@ -175,7 +176,9 @@ class TestPropagate:
             tracemalloc.stop()
         assert aug.basis.shape == (204, 8)
         assert peak < times.size * aug.m * aug.n * 8
-        assert record.zo_avg is record.zo_avg and record.zp_coeffs is record.zp_coeffs
+        # formed on each read, never kept
+        assert record.zo_avg is not record.zo_avg and not vars(record).keys() - {
+            field.name for field in dataclasses.fields(record)}
         assert record.zo_avg.shape == (times.size, aug.m, aug.n)
 
     def test_nonuniform_grid(self, sixmode_system):
@@ -496,9 +499,8 @@ class TestTimeAverageError:
         def refuse(*args):
             raise AssertionError("the verdict mapped rows back to original coordinates")
 
-        monkeypatch.setattr(simulation, "_map_back", refuse)
+        monkeypatch.setattr(simulation.TrajectoryRecord, "coefficients", refuse)
         report = time_average_error(rec, aug)
-        assert not {"zp_coeffs", "zo_coeffs", "zo_avg"} & vars(rec).keys()
         monkeypatch.undo()
         assert time_average_error(rec, aug) == report
 
