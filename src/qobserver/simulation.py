@@ -36,16 +36,13 @@ __all__ = [
 # Convergence verdict: time averages decay like 1/T.
 DRIFT_TOL = 1e-6
 SLOPE_WINDOW = (-1.3, -0.7)
-# Largest array a grid may imply: its own times, or 3 m w doubles per point: w = d
-# for the record in propagate's basis, w = n for a read of its coefficients.
+# Largest array a caller may ask for: a grid's times, or a read of a record's coefficients.
 MAX_RECORD_BYTES = 2**30
 
 
 def time_grid(t_end: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, 2 dt, ..., ending at (the grid point nearest) t_end.
-
-    Refuses a grid whose times alone would exceed ``MAX_RECORD_BYTES``.
-    """
+    """Uniform grid 0, dt, 2 dt, ..., ending at (the grid point nearest) t_end, refused if
+    its times alone would exceed ``MAX_RECORD_BYTES``."""
     if not (t_end > 0 and dt > 0):
         raise ValueError(f"t_end and dt must be positive, got {t_end}, {dt}")
     steps = t_end / dt
@@ -55,46 +52,63 @@ def time_grid(t_end: float, dt: float) -> np.ndarray:
     n_steps = int(round(steps))
     if n_steps < 1:
         raise ValueError(f"dt = {dt} too large for horizon {t_end}")
-    return np.arange(n_steps + 1) * dt
+    grid = np.arange(n_steps + 1, dtype=float)
+    return np.multiply(grid, dt, out=grid)
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Coefficient trajectories of the plant and observer outputs.
+    """Coefficient trajectories of the plant and observer outputs, kept as their closed form.
 
-    Kept in the composite's ``basis`` B (n x d): ``rows[k]`` is ``[c; zo_selector]
-    Phi(t_k) B``, the 2m output rows in B's coordinates, and ``zo_avg_rows[k]``
-    the exact ``(1/t_k) integral_0^{t_k}`` of their bottom m rows, at t = 0 its
-    limit, the rows at 0.  ``coefficients`` maps any block of them back to the m x n
-    original-coordinate rows; ``zp_coeffs``, ``zo_coeffs`` and ``zo_avg`` are its full
-    reads, formed on each read.  ``reduction_residual`` bounds, to first order, the
-    rows' distance from a full propagation.
+    In the composite's ``basis`` B (n x d) the 2m output rows ``[c; zo_selector] Phi(t) B``
+    are ``[1, cos(w t), sin(w t)] @ k``, ``start`` at t = 0, and the exact ``(1/t)
+    integral_0^t`` of their bottom m rows is ``[1, sinc, (1 - cos) / x]`` of ``x = w t``
+    against the same ``k``.  ``rows`` forms any block of them; ``coefficients`` maps it back
+    to the m x n original-coordinate rows, and ``zp_coeffs``, ``zo_coeffs`` and ``zo_avg``
+    are its full reads.  ``reduction_residual``: see ``propagate``.
     """
 
     times: np.ndarray
     basis: np.ndarray
-    rows: np.ndarray
-    zo_avg_rows: np.ndarray
+    start: np.ndarray
+    k: np.ndarray
+    w: np.ndarray
     c: np.ndarray
     zo_selector: np.ndarray
     reduction_residual: float
 
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
+    t_end = property(lambda self: float(self.times[-1]))
+
+    def rows(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The m x d rows of ``name`` ("zp", "zo" or "zo_avg"; "z" the 2m rows of both) in
+        the basis at ``times[start:stop]``, formed from ``k``, row 0 exactly ``start``'s."""
+        m = self.c.shape[0]
+        part = {"z": slice(None), "zp": slice(m), "zo": slice(m, None),
+                "zo_avg": slice(m, None)}[name]
+        times = self.times[start:stop]
+        # numpy forms a one-row product by gemv, which rounds otherwise: two rows at least
+        x = np.multiply.outer(np.repeat(times, 2) if times.size == 1 else times, self.w)
+        waves = ((np.sinc(x / np.pi), np.sin(x / 2) * np.sinc(x / (2 * np.pi)))
+                 if name == "zo_avg" else (np.cos(x), np.sin(x)))
+        rows = np.hstack([np.ones((len(x), 1)), *waves]) @ self.k[:, part].reshape(len(self.k), -1)
+        rows = rows[:times.size].reshape(times.size, *self.start[part].shape)
+        if 0 in range(self.times.size)[start:stop]:
+            rows[0] = self.start[part]
+        return rows
 
     def coefficients(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The m x n rows of ``name`` ("zp", "zo" or "zo_avg") at ``times[start:stop]``, the
-        row at t = 0 exactly ``c`` or ``zo_selector``: ``rows @ basis.T``, refused if three
-        arrays of its size, 24 k m n bytes for k times, would exceed ``MAX_RECORD_BYTES``."""
-        m, (n, d) = self.c.shape[0], self.basis.shape
-        rows, first = {"zp": (self.rows[:, :m], self.c), "zo": (self.rows[:, m:], self.zo_selector),
-                       "zo_avg": (self.zo_avg_rows, self.zo_selector)}[name]
-        rows = rows[start:stop]
-        _check_record(len(rows), m, n)
-        back = (rows.reshape(-1, d) @ self.basis.T).reshape(len(rows), m, n)
-        if start == 0:
-            back[:1] = first
+        """The m x n rows of ``name`` at ``times[start:stop]``, the row at t = 0 exactly ``c``
+        or ``zo_selector``: ``rows(name, start, stop) @ basis.T``, refused if three arrays of
+        its size, 24 k m n bytes for k times, would exceed ``MAX_RECORD_BYTES``."""
+        first = {"zp": self.c, "zo": self.zo_selector, "zo_avg": self.zo_selector}[name]
+        (m, n), d = first.shape, self.basis.shape[1]
+        index = range(self.times.size)[start:stop]
+        if not 24 * len(index) * m * n <= MAX_RECORD_BYTES:
+            raise ValueError(f"a read of {len(index)} points of {3 * m * n} doubles per point "
+                             f"would exceed MAX_RECORD_BYTES = {MAX_RECORD_BYTES / 2**30:g} GiB")
+        back = (self.rows(name, start, stop).reshape(-1, d) @ self.basis.T).reshape(-1, m, n)
+        if 0 in index:
+            back[0] = first
         return back
 
     zp_coeffs = property(lambda self: self.coefficients("zp"))
@@ -143,13 +157,6 @@ def _validate_grid(times) -> np.ndarray:
     return times
 
 
-def _check_record(points: float, m: int, n: int) -> None:
-    """Refuse ``points`` times whose record, 3 m n doubles each, exceeds ``MAX_RECORD_BYTES``."""
-    if not 24 * points * m * n <= MAX_RECORD_BYTES:
-        raise ValueError(f"grid of {points:.3g} points: its record of {3 * m * n} doubles per "
-                         f"point would exceed MAX_RECORD_BYTES = {MAX_RECORD_BYTES / 2**30:g} GiB")
-
-
 def _observer_modes(r_o: np.ndarray):
     """``(R_o^{1/2}, R_o^{-1/2}, w, V)``, ``V diag(w) V^H = 2i R_o^{1/2} Theta_o R_o^{1/2}``:
     ``e^{2 Theta_o R_o t} = R_o^{-1/2} V diag(e^{-iwt}) V^H R_o^{1/2}``, the real w ascending
@@ -172,18 +179,16 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
     its m plant rows, zero in theory, are set to zero (A_0).  A row [p, o] at time t is
     then ``[p + o integral_0^t e^{Ys} ds X, o e^{Yt}]``, by ``_observer_modes``
     ``K_0 + sum_j (K_cj cos w_j t + K_sj sin w_j t)`` over the n_o / 2 positive w_j, and
-    its exact time average the same K against ``[1, sin(w t) / (w t), (1 - cos w t) / (w t)]``:
-    two real products for the whole grid, nothing stepped, row 0 exactly
-    ``[c; zo_selector] B``.  What the rows leave out bounds, to first order, their
-    distance from a full propagation: the record's ``reduction_residual``,
-    ``|rows_0 (I - B B^T)|_2 + t_end max_k |rows_k|_F |B^T A - A_0 B^T|_2``.  Nothing
-    n wide per grid point is allocated.  Refuses, before it allocates, a record of
-    3 m d doubles per point beyond ``MAX_RECORD_BYTES``, and raises ``ValueError`` for
-    a record that overflows or an observer block of ``aug.r`` that is not positive definite.
+    its exact time average the same K against ``[1, sin(w t) / (w t), (1 - cos w t) / (w t)]``.
+    The record keeps K and w, and ``TrajectoryRecord.rows`` forms blocks from them.  Its
+    ``reduction_residual``, read block by block, bounds to first order the rows' distance
+    from a full propagation: ``|rows_0 (I - B B^T)|_2 + t_end max_k |rows_k|_F |B^T A -
+    A_0 B^T|_2``.  Raises ``ValueError`` for an observer block of ``aug.r`` that is not
+    positive definite and, before it forms any row, for a record that overflows: one whose
+    ``B^T A - A_0 B^T``, entrywise sum of |K| or ``t_end max w`` is not finite.
     """
     times = _validate_grid(times)
     b, m, d = aug.basis, aug.m, aug.basis.shape[1]
-    _check_record(times.size, m, d)
     n_o, a, r_o = d - m, aug.a, aug.r[m - d:, m - d:]
     root, inv_root, w, v = _observer_modes(r_o)
     w, v = w[n_o // 2:], v[:, n_o // 2:]
@@ -202,39 +207,33 @@ def propagate(aug: AugmentedSystem, times) -> TrajectoryRecord:
         k_0 = np.hstack([start[:, :m] - 2.0 * z[:, :, :m].sum(axis=0).real,
                          np.zeros((2 * m, n_o))])
         k = np.concatenate([k_0[None], 2.0 * z.real, 2.0 * z.imag])
-        x = np.multiply.outer(times, w)
-        ones = np.ones((times.size, 1))
-        rows = np.hstack([ones, np.cos(x), np.sin(x)]) @ k.reshape(len(k), -1)
-        avg = (np.hstack([ones, np.sinc(x / np.pi), np.sin(x / 2) * np.sinc(x / (2 * np.pi))])
-               @ k[:, m:].reshape(len(k), -1))
-    if not all(np.isfinite(part).all() for part in (leak, rows, avg)):
+        bounds = (leak, np.abs(k).sum(axis=0), times[-1] * w)
+    if not all(np.isfinite(part).all() for part in bounds):
         raise ValueError(f"the record of a composite with |A|_max {np.abs(a).max():.3g} "
                          f"over t_end = {times[-1]:g} overflows doubles")
-    rows, avg = rows.reshape(times.size, 2 * m, d), avg.reshape(times.size, m, d)
-    rows[0], avg[0] = start, start[m:]
-    reduction_residual = (float(np.linalg.norm(selectors - start @ b.T, 2)) + float(times[-1])
-                          * float(_distances(rows, 0.0).max()) * float(np.linalg.norm(leak, 2)))
-    return TrajectoryRecord(times=times, basis=b, rows=rows, zo_avg_rows=avg,
-                            c=aug.c, zo_selector=aug.zo_selector,
-                            reduction_residual=reduction_residual)
+    record = TrajectoryRecord(times=times, basis=b, start=start, k=k, w=w, c=aug.c,
+                              zo_selector=aug.zo_selector, reduction_residual=np.nan)
+    drift = float(times[-1]) * float(_distances(record, "z", 0.0).max())
+    return replace(record, reduction_residual=float(np.linalg.norm(selectors - start @ b.T, 2))
+                   + drift * float(np.linalg.norm(leak, 2)))
 
 
-# Elements per block of the verdict's temporaries, small next to any record.
+# Elements per block of the rows formed for their norms, small next to any grid.
 _BLOCK = 2**14
 
 
-def _distances(rows: np.ndarray, target) -> np.ndarray:
-    """``norm(rows - target, axis=(1, 2))``, in blocks of about ``_BLOCK`` elements.
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """``norm(diff, axis=(1, 2))``, scaled first by a power of two so no square overflows."""
+    exp = np.frexp(np.abs(diff).max())[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(diff, -exp), axis=(1, 2)), exp)
 
-    Each block of differences is first scaled by the power of two of its largest
-    entry, as in ``numerical_rank``, so that no square overflows.
-    """
-    distances = np.empty(len(rows))
-    points = max(1, _BLOCK // rows[0].size)
+
+def _distances(rec: TrajectoryRecord, name: str, target) -> np.ndarray:
+    """``|rows_k - target|_F`` of ``rec.rows(name)`` at each time, in ``_BLOCK``s."""
+    distances = np.empty(rec.times.size)
+    points = max(1, _BLOCK // (rec.start.size // (1 if name == "z" else 2)))
     for k in range(0, distances.size, points):
-        diff = rows[k:k + points] - target
-        exp = np.frexp(np.abs(diff).max())[1]
-        distances[k:k + points] = np.ldexp(np.linalg.norm(np.ldexp(diff, -exp), axis=(1, 2)), exp)
+        distances[k:k + points] = _norms(rec.rows(name, k, k + points) - target)
     return distances
 
 
@@ -256,8 +255,8 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
         raise ValueError(f"record must cover t_end >= 10, got {rec.t_end}")
     # X B^T - c = (X - c B) B^T - c (I - B B^T): orthogonal parts, |Y B^T|_F = |Y|_F
     target = aug.c @ rec.basis
-    offset = _distances((aug.c - target @ rec.basis.T)[None], 0.0)[0]
-    errors = np.hypot(_distances(rec.zo_avg_rows, target), offset)
+    offset = _norms((aug.c - target @ rec.basis.T)[None])[0]
+    errors = np.hypot(_distances(rec, "zo_avg", target), offset)
     final_error = float(errors[-1])
 
     window = (rec.times >= rec.t_end / 32) & (rec.times > 0)
