@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,9 +46,6 @@ class RunReport:
     csv_files: list = dataclasses.field(default_factory=list)
     passed: bool = False
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 # ---------------------------------------------------------------------------
 # CSV interchange
@@ -64,18 +62,34 @@ def write_trajectory_csv(path, times: np.ndarray, blocks, name: str):
     """Write coefficient trajectories: columns t, {name}_{i}_x{j} (1-based).
 
     ``blocks`` are consecutive k x m x n arrays of coefficients that together cover ``times``.
+    Rows that repeat a block's last row bit for bit to its end (a constant ``zp``) are that
+    row's text, formatted once, joined to their times'; the rows before them are one flat
+    orjson array whose every (m n + 1)-th comma and closing bracket become newlines.
     """
-    times, k = np.asarray(times).reshape(-1, 1), 0
+    times, k = np.ascontiguousarray(times, dtype=float), 0
     with open(path, "wb") as fh:
         for block in blocks:
-            m, n = block.shape[1:]
+            size, m, n = block.shape
             if k == 0:
                 header = ["t"] + [f"{name}_{i + 1}_x{j + 1}" for i in range(m) for j in range(n)]
                 fh.write(",".join(header).encode() + b"\n")
-            values = np.concatenate((times[k:k + len(block)], block.reshape(len(block), m * n)),
-                                    axis=1, dtype=float)
-            fh.write(_decimals(values, path)[2:-2].replace(b"],[", b"\n") + b"\n")
-            k += len(block)
+            rows = np.ascontiguousarray(block, dtype=float).reshape(size, m * n)
+            # rows[cut:] repeat the last row's bits (-0.0 == 0.0, but the two print apart);
+            # the last row alone goes with the rows before it, a block of one row alike
+            bits = rows.view(np.uint64)
+            tail = (bits[::-1] != bits[-1]).any(axis=1).argmax()  # 0: every row alike
+            cut = 0 if tail == 0 else size if tail == 1 else size - tail
+            if cut:
+                values = np.concatenate((times[k:k + cut, None], rows[:cut]), axis=1).ravel()
+                text = bytearray(_decimals(values, path))
+                chars = np.frombuffer(text, np.uint8)
+                chars[(chars == ord(",")).nonzero()[0][m * n::m * n + 1]] = ord("\n")
+                chars[-1] = ord("\n")
+                fh.write(memoryview(text)[1:])
+            if cut < size:
+                row = b"," + _decimals(rows[-1], path)[1:-1] + b"\n"
+                fh.write(row.join(_decimals(times[k + cut:k + size], path)[1:-1].split(b",")) + row)
+            k += size
     if k != len(times):
         raise ValueError(f"{path}: blocks of {k} rows for {len(times)} times")
 
@@ -124,10 +138,18 @@ def _observer_dict(obs: ObserverDesign) -> dict:
     }
 
 
+def _named(value):
+    """``value`` with each non-finite float spelled "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {key: _named(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_named(item) for item in value]
+    return str(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_report(report: RunReport, path) -> None:
     """The report as strict JSON, each non-finite float written as "inf", "-inf" or "nan"."""
-    doc = json.loads(json.dumps(report.to_dict()), parse_constant=lambda name: str(float(name)))
-    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    Path(path).write_text(json.dumps(_named(vars(report)), indent=2, allow_nan=False) + "\n")
 
 
 def _print_conditions(report: ConditionReport):

@@ -65,7 +65,8 @@ class TrajectoryRecord:
     integral_0^t`` of their bottom m rows is ``[1, sinc, (1 - cos) / x]`` of ``x = w t``
     against the same ``k``.  ``rows`` forms any block of them; ``coefficients`` maps it back
     to the m x n original-coordinate rows, and ``zp_coeffs``, ``zo_coeffs`` and ``zo_avg``
-    are its full reads.  ``reduction_residual``: see ``propagate``.
+    are its full reads; an ``assemble_augmented`` composite's plant rows have no sinusoid
+    terms, so their reads form one row.  ``reduction_residual``: see ``propagate``.
     """
 
     times: np.ndarray
@@ -99,14 +100,20 @@ class TrajectoryRecord:
     def coefficients(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
         """The m x n rows of ``name`` at ``times[start:stop]``, the row at t = 0 exactly ``c``
         or ``zo_selector``: ``rows(name, start, stop) @ basis.T``, refused if three arrays of
-        its size, 24 k m n bytes for k times, would exceed ``MAX_RECORD_BYTES``."""
+        its size, 24 k m n bytes for k times, would exceed ``MAX_RECORD_BYTES``.  Plant rows
+        with no sinusoid terms are one row, ``k[0, :m] @ basis.T``, formed once and repeated."""
         first = {"zp": self.c, "zo": self.zo_selector, "zo_avg": self.zo_selector}[name]
         (m, n), d = first.shape, self.basis.shape[1]
         index = range(self.times.size)[start:stop]
         if not 24 * len(index) * m * n <= MAX_RECORD_BYTES:
             raise ValueError(f"a read of {len(index)} points of {3 * m * n} doubles per point "
                              f"would exceed MAX_RECORD_BYTES = {MAX_RECORD_BYTES / 2**30:g} GiB")
-        back = (self.rows(name, start, stop).reshape(-1, d) @ self.basis.T).reshape(-1, m, n)
+        if name == "zp" and not self.k[1:, :m].any():
+            # formed as two rows: a gemm, as below, rounds as it does
+            row = (np.concatenate((self.k[0, :m], self.k[0, :m])) @ self.basis.T)[:m]
+            back = row[None].repeat(len(index), axis=0)
+        else:
+            back = (self.rows(name, start, stop).reshape(-1, d) @ self.basis.T).reshape(-1, m, n)
         if 0 in index:
             back[0] = first
         return back
@@ -259,13 +266,14 @@ def time_average_error(rec: TrajectoryRecord, aug: AugmentedSystem) -> Convergen
     errors = np.hypot(_distances(rec, "zo_avg", target), offset)
     final_error = float(errors[-1])
 
-    window = (rec.times >= rec.t_end / 32) & (rec.times > 0)
+    first = int(np.searchsorted(rec.times, rec.t_end / 32))  # the times increase: a suffix
     decay_slope = None
-    if np.count_nonzero(window) >= 5:
+    if rec.times.size - first >= 5:
         # least-squares slope in closed form: x . y / x . x with x centred
-        x = np.log(rec.times[window])
+        x = np.log(rec.times[first:])
         x -= x.mean()
-        y = np.log(np.maximum(errors[window], np.finfo(float).tiny))
+        y = errors[first:]
+        np.log(np.maximum(y, np.finfo(float).tiny, out=y), out=y)
         decay_slope = float(x @ y / (x @ x))
 
     report = ConvergenceReport(final_error=final_error,

@@ -1,6 +1,7 @@
 """Reference implementations the tests check the library against."""
 
 import numpy as np
+import orjson
 import scipy.linalg
 
 # Commutation residual, relative to the propagator's squared norm, past which
@@ -125,3 +126,22 @@ def average_error_reference(obs, c_p, times):
         mean = np.eye(n_o) if t == 0 else scipy.linalg.expm(block * t)[:n_o, n_o:] / t
         errors.append(np.linalg.norm(offset + obs.c_o @ mean @ x))
     return np.array(errors)
+
+
+def trajectory_csv_bytes(times, blocks, name):
+    """The bytes of a trajectory CSV formed in two passes per block: a 2-D orjson dump of
+    the times beside the block's rows, its outer brackets cut, then each ``],[`` replaced
+    by a newline."""
+    times, k = np.asarray(times).reshape(-1, 1), 0
+    m, n = blocks[0].shape[1:]
+    text = [",".join(["t"] + [f"{name}_{i + 1}_x{j + 1}" for i in range(m)
+                              for j in range(n)]).encode() + b"\n"]
+    for block in blocks:
+        values = np.concatenate((times[k:k + len(block)], np.reshape(block, (len(block), -1))),
+                                axis=1, dtype=float)
+        # numpy may lay out the join of a broadcast block in another order than C's
+        values = np.ascontiguousarray(values)
+        dump = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+        text.append(dump[2:-2].replace(b"],[", b"\n") + b"\n")
+        k += len(block)
+    return b"".join(text)

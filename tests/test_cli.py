@@ -892,7 +892,7 @@ class TestRunReport:
         doc = json.loads((tmp_path / "r.json").read_text())
         rebuilt = RunReport(**json.loads(json.dumps(doc)))
         assert rebuilt == RunReport(**doc)
-        assert rebuilt.to_dict() == report.to_dict()
+        assert rebuilt == report
 
     def test_simulate_returns_the_report_it_writes(self, fast_sixmode_path, tmp_path):
         report = cmd_simulate(fast_sixmode_path, tmp_path / "run")

@@ -13,6 +13,7 @@ from qobserver.cli import write_matrices_csv, write_trajectory_csv
 from qobserver.config import load_config
 
 from conftest import same_bits
+from oracles import trajectory_csv_bytes
 
 # Derandomized and bounded, so that every run checks the same examples quickly.
 PROFILE = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -40,6 +41,45 @@ def test_trajectory_csv_round_trips_every_double(tmp_path_factory, trajectory):
     read = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert same_bits(read[:, 0], times)
     assert same_bits(read[:, 1:], coeffs.reshape(len(times), -1))
+
+
+@st.composite
+def blocked_runs(draw):
+    """``(times, blocks)``: runs of rows from three m x n rows, two of them apart only in
+    the sign of a zero, cut at drawn split points into blocks; a block of one repeated
+    row may be drawn as that row broadcast, a view with a stride of 0."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row, at = draw(arrays(float, (m, n), elements=doubles)), draw(st.integers(0, m * n - 1))
+    pool = np.stack([row, row, draw(arrays(float, (m, n), elements=doubles))])
+    pool[0].flat[at], pool[1].flat[at] = 0.0, -0.0
+    runs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 5)), min_size=1,
+                         max_size=6))
+    coeffs = np.concatenate([np.repeat(pool[[i]], count, axis=0) for i, count in runs])
+    times = draw(arrays(float, len(coeffs), elements=doubles))
+    cuts = sorted(draw(st.sets(st.integers(1, len(coeffs) - 1))) if len(coeffs) > 1 else ())
+    return times, [np.broadcast_to(b[0], b.shape) if same_bits(b, b[:1].repeat(len(b), 0))
+                   and draw(st.booleans()) else b for b in np.split(coeffs, cuts)]
+
+
+# Row 0 apart from a constant run, as in zp: a split on row 0's end, one and two rows
+# after it, and none
+STEP = np.concatenate([np.zeros((1, 1, 2)), np.ones((4, 1, 2))])
+
+
+@PROFILE
+@given(blocked_runs())
+@example((np.arange(4.0), [np.array([[[-0.0]], [[0.0]], [[0.0]], [[-0.0]]])]))
+@example((np.arange(5.0), np.split(STEP, [1])))
+@example((np.arange(5.0), np.split(STEP, [2])))
+@example((np.arange(5.0), np.split(STEP, [3])))
+@example((np.arange(5.0), [STEP]))
+def test_trajectory_csv_is_the_two_pass_formula(tmp_path_factory, trajectory):
+    # a constant run is formatted once and joined to its times' text; the other rows
+    # get their newlines in place: both must give the two-pass formula's bytes
+    times, blocks = trajectory
+    path = tmp_path_factory.getbasetemp() / "trajectory.csv"
+    write_trajectory_csv(path, times, blocks, "zp")
+    assert path.read_bytes() == trajectory_csv_bytes(times, blocks, "zp")
 
 
 @PROFILE

@@ -26,7 +26,7 @@ from qobserver.demo import sixmode_config
 from qobserver.simulation import DRIFT_TOL, _distances, _norms
 
 from conftest import (random_passive_plant, random_spd, random_valid_plant,
-                      random_valid_system, real_embedding, roundoff)
+                      random_valid_system, real_embedding, roundoff, same_bits)
 from oracles import (average_error_reference, full_composite_rows, integrated_average,
                      ode_oracle, stepped_rows)
 
@@ -184,6 +184,39 @@ class TestPropagate:
                 assert np.array_equal(rows[0], start_rows)
         assert np.array_equal(rec.rows("z", start, stop), np.concatenate(
             [rec.rows("zp", start, stop), rec.rows("zo", start, stop)], axis=1))
+
+    @pytest.mark.parametrize("design", ["demo", "valid", "leaky", "moving"])
+    def test_constant_plant_rows_are_formed_once(self, sixmode_system, design, monkeypatch):
+        # an assembled composite's plant rows have no sinusoid terms, so a zp block is one
+        # row, formed with no call to rows; it must equal rows("zp") @ basis.T bit for bit
+        # at every split.  The leaky composite of test_drift_fails_a_plant_output_that_moves
+        # keeps constant rows in the basis (its leak is what reduction_residual bounds); a
+        # plant output that reads an observer coordinate moves there: the general path
+        augs = [sixmode_system[3]]
+        if design == "valid":
+            augs = [assemble_augmented(plant, synthesize_observer(dec)) for plant, dec in
+                    (random_valid_plant(np.random.default_rng(seed)) for seed in range(6))]
+        elif design != "demo":
+            c = augs[0].c.copy()
+            c[0, 0 if design == "leaky" else -1] += 1e-3
+            augs = [AugmentedSystem(augs[0].r, c, augs[0].zo_selector)]
+        calls, rows = [], simulation.TrajectoryRecord.rows
+        monkeypatch.setattr(simulation.TrajectoryRecord, "rows",
+                            lambda self, *args: calls.append(args) or rows(self, *args))
+        for aug in augs:
+            rec = propagate(aug, time_grid(1.0, 0.1))
+            (m, n), d, size = aug.c.shape, aug.basis.shape[1], rec.times.size
+            assert rec.k[1:, :m].any() == (design == "moving")
+            for length in range(1, size + 1):
+                for k in range(0, size, length):
+                    calls.clear()
+                    block = rec.coefficients("zp", k, k + length)
+                    assert bool(calls) == (design == "moving")
+                    general = rows(rec, "zp", k, k + length).reshape(-1, d) @ rec.basis.T
+                    general = general.reshape(-1, m, n)
+                    if k == 0:
+                        general[0] = aug.c
+                    assert same_bits(block, general)
 
     def test_derived_arrays_are_bounded_on_first_read(self, sixmode_system, monkeypatch):
         # a bound between the record in the basis and the derived zp, zo and zo_avg
