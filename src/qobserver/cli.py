@@ -12,9 +12,11 @@ floating-point values; a non-finite value is refused, never written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -51,6 +53,18 @@ class RunReport:
 # CSV interchange
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _overwrite(path):
+    """``open(path, "wb")`` without the truncation that frees blocks for the write to allocate
+    again: the old bytes are overwritten, and the file is cut where writing stopped."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
+
+
 def _decimals(values: np.ndarray, path) -> bytes:
     """The JSON array of the float64 ``values``, each the shortest decimal that re-reads to it."""
     if not np.isfinite(values).all():
@@ -65,9 +79,10 @@ def write_trajectory_csv(path, times: np.ndarray, blocks, name: str):
     Rows that repeat a block's last row bit for bit to its end (a constant ``zp``) are that
     row's text, formatted once, joined to their times'; the rows before them are one flat
     orjson array whose every (m n + 1)-th comma and closing bracket become newlines.
+    The file is overwritten in place and cut where writing stopped.
     """
     times, k = np.ascontiguousarray(times, dtype=float), 0
-    with open(path, "wb") as fh:
+    with _overwrite(path) as fh:
         for block in blocks:
             size, m, n = block.shape
             if k == 0:
@@ -95,14 +110,15 @@ def write_trajectory_csv(path, times: np.ndarray, blocks, name: str):
 
 
 def write_matrices_csv(path, matrices: dict):
-    """Write named matrices in long form: matrix,row,col,value (0-based), CRLF-ended."""
+    """Write named matrices in long form, in place: matrix,row,col,value (0-based), CRLF-ended."""
     lines = [b"matrix,row,col,value"]
     for name, mat in matrices.items():
         mat = np.atleast_2d(np.asarray(mat, dtype=float))
         values = _decimals(mat.ravel(), path)[1:-1].split(b",") if mat.size else []
         lines += [b"%s,%d,%d,%s" % (name.encode(), *divmod(k, mat.shape[1]), v)
                   for k, v in enumerate(values)]
-    Path(path).write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with _overwrite(path) as fh:
+        fh.write(b"\r\n".join(lines) + b"\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +164,9 @@ def _named(value):
 
 
 def _write_report(report: RunReport, path) -> None:
-    """The report as strict JSON, each non-finite float written as "inf", "-inf" or "nan"."""
-    Path(path).write_text(json.dumps(_named(vars(report)), indent=2, allow_nan=False) + "\n")
+    """The report as strict JSON in place, each non-finite float spelled "inf", "-inf" or "nan"."""
+    with _overwrite(path) as fh:
+        fh.write(json.dumps(_named(vars(report)), indent=2, allow_nan=False).encode() + b"\n")
 
 
 def _print_conditions(report: ConditionReport):
@@ -230,6 +247,8 @@ def _simulate(cfg: PlantConfig, out_dir, label: str) -> RunReport:
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the report is written last: a directory without one holds a run that did not finish
+    (out_dir / "report.json").unlink(missing_ok=True)
     rows = max(1, _BLOCK_VALUES // (aug.m * aug.n + 1))
     files = []
     for name in ("zp", "zo", "zo_avg"):

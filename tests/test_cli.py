@@ -361,6 +361,63 @@ class TestCsvInterchange:
             write_trajectory_csv(path, np.where(np.arange(20) == row, value, 1.0),
                                  [np.ones((20, 1, 2))], "zo")
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_trajectory_refusal_cuts_a_longer_file(self, tmp_path, value):
+        # the refused block is never written: the file ends with the rows before it
+        coeffs = np.ones((20, 1, 2))
+        blocks = [coeffs[k:k + 3] for k in range(0, 20, 3)]
+        fresh = tmp_path / "fresh.csv"
+        write_trajectory_csv(fresh, np.arange(20.0), blocks, "zo")
+        coeffs[19, 0, 1] = value
+        path = tmp_path / "zo.csv"
+        path.write_bytes(b"X" * 100_000)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            write_trajectory_csv(path, np.arange(20.0), blocks, "zo")
+        text = path.read_bytes()
+        assert b"X" not in text and b"null" not in text
+        assert text.splitlines(keepends=True) == fresh.read_bytes().splitlines(keepends=True)[:19]
+
+    def test_rerun_into_a_longer_run_writes_a_fresh_runs_bytes(self, sixmode_path, tmp_path,
+                                                                capsys):
+        out_dir, fresh_dir = tmp_path / "rerun", tmp_path / "fresh"
+        cmd_simulate(sixmode_path, out_dir, t_end=200.0)
+        longer = (out_dir / "zo.csv").stat().st_size
+        reports = [cmd_simulate(sixmode_path, path, t_end=20.0) for path in (out_dir, fresh_dir)]
+        assert (out_dir / "zo.csv").stat().st_size < longer / 5
+        for name in ("zp.csv", "zo.csv", "zo_avg.csv"):
+            assert (out_dir / name).read_bytes() == (fresh_dir / name).read_bytes()
+        docs = [json.loads((path / "report.json").read_text()) for path in (out_dir, fresh_dir)]
+        for doc, report in zip(docs, reports):
+            assert doc.pop("csv_files") == report.csv_files
+        assert docs[0] == docs[1] and docs[0]["passed"]
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_matrices_csv(path, {"a": np.eye(2), "b": [[0.5, -0.0]]}),
+        lambda path: _write_report(RunReport(conditions={"a": np.inf, "b": [1.0, 2]}), path),
+    ], ids=["matrices", "report"])
+    def test_writers_overwrite_a_longer_file_exactly(self, tmp_path, write):
+        fresh, path = tmp_path / "fresh", tmp_path / "over"
+        write(fresh)
+        path.write_bytes(b"X" * 100_000)
+        write(path)
+        assert path.read_bytes() == fresh.read_bytes() and len(fresh.read_bytes()) < 1000
+
+    @pytest.mark.parametrize("umask", [0o002, 0o027], ids=oct)
+    def test_created_files_get_the_mode_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "wb"):
+                pass
+            write_matrices_csv(tmp_path / "mats.csv", {"a": np.eye(2)})
+            write_trajectory_csv(tmp_path / "zo.csv", np.arange(2.0), [np.ones((2, 1, 2))], "zo")
+            _write_report(RunReport(conditions={}), tmp_path / "report.json")
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "reference").stat().st_mode
+        assert mode & 0o777 == 0o666 & ~umask
+        for name in ("mats.csv", "zo.csv", "report.json"):
+            assert (tmp_path / name).stat().st_mode == mode
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_matrices_writer_refuses_nonfinite(self, tmp_path, value):
         path = tmp_path / "mats.csv"
@@ -547,6 +604,26 @@ class TestCliCommands:
             times, written, _ = read_trajectory_csv(out_dir / name)
             assert same_bits(times, record.times)
             assert same_bits(written, coeffs.reshape(len(record.times), -1))
+
+    def test_simulate_failing_mid_write_leaves_no_report(self, fast_sixmode_path, tmp_path,
+                                                         monkeypatch, capsys):
+        # the previous run's report would vouch for the new, partial CSVs
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        (out_dir / "report.json").write_text('{"passed": true}\n')
+        calls, write = [], cli.write_trajectory_csv
+
+        def fail_second(path, *args):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(f"{path}: no space left on device")
+            write(path, *args)
+
+        monkeypatch.setattr(cli, "write_trajectory_csv", fail_second)
+        assert main(["simulate", str(fast_sixmode_path), str(out_dir)]) == 2
+        assert "no space left" in capsys.readouterr().err
+        assert len(calls) == 2 and (out_dir / "zp.csv").exists()
+        assert not (out_dir / "report.json").exists()
 
     def test_simulate_rejects_too_short_horizon(self, tmp_path, sixmode_path):
         code = main(["simulate", str(sixmode_path), str(tmp_path / "x"),
